@@ -119,9 +119,6 @@ def dpc_original(
     )
     elapsed = time.perf_counter() - t0
     n_pairs = d.n * (d.n - 1) // 2
-    profile = core.DpcProfile(
-        density, density_order, separation, nearest_denser, decision, decision_order
-    )
     return core.ClusteringResult(
         centers=centers,
         labels=labels,
@@ -131,7 +128,9 @@ def dpc_original(
         distance_ratio=1.0,
         timings={"total": elapsed},
         flags=flags,
-        profile=profile,
+        profile=core.DpcProfile(
+            density, density_order, separation, nearest_denser, decision, decision_order
+        ),
         algorithm="dpc",
         dataset_name=d.name,
         params={"dc": dc, "n_centers": n_centers, "kernel": kernel},
@@ -142,65 +141,19 @@ def sktdpc_reference(d: Dataset, k: int, n_centers: int | None = None) -> core.C
     """Full-matrix twin of the sparse pipeline, for equivalence testing.
 
     k-NN, density and separation all come from direct scans of the complete
-    distance matrix; the center detection and label assignment stages run on
-    those quantities unchanged.
+    distance matrix; the center detection and label assignment stages are
+    the ones :func:`sktdpc.core.run_sktdpc` runs.
     """
-    if not 1 <= k <= d.n - 1:
-        raise ValueError(f"k must be in [1, {d.n - 1}], got {k}")
-    if n_centers is not None and not 1 <= n_centers <= d.n:
-        raise ValueError(f"n_centers must be in [1, {d.n}], got {n_centers}")
+    params = core._checked_params(d, k, n_centers)
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    m = full_matrix(d)
-    timings["matrix"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    neighbor_sets = brute_knn_all(m, k)
-    timings["knn"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    density, density_order = core.local_density(neighbor_sets)
-    timings["density"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    separation, nearest_denser = brute_separation(m, density_order)
-    timings["separation"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    decision, decision_order = core.decision_values(density, separation)
-    m_p, flags_m = core.mutation_point(decision, decision_order)
-    if n_centers is None:
-        centers, candidates, flags_c = core.select_centers(
-            density, separation, decision_order, m_p
-        )
-    else:
-        centers = tuple(int(x) for x in decision_order[:n_centers])
-        candidates = centers
-        flags_c = ("fixed-center-count",)
-    timings["centers"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    labels, flags_a = core.assign_labels(
-        density_order, nearest_denser, centers, lambda i, j: float(m[i, j])
+    m = core._timed(timings, "matrix", full_matrix, d)
+    neighbor_sets = core._timed(timings, "knn", brute_knn_all, m, k)
+    density, density_order = core._timed(timings, "density", core.local_density, neighbor_sets)
+    separation, nearest_denser = core._timed(
+        timings, "separation", brute_separation, m, density_order
     )
-    timings["assign"] = time.perf_counter() - t0
-    timings["total"] = sum(timings.values())
-
     n_pairs = d.n * (d.n - 1) // 2
-    profile = core.DpcProfile(
-        density, density_order, separation, nearest_denser, decision, decision_order
-    )
-    return core.ClusteringResult(
-        centers=centers,
-        labels=labels,
-        mutation_point=m_p,
-        candidate_centers=candidates,
-        distance_evaluations=n_pairs,
-        distance_ratio=1.0,
-        timings=timings,
-        flags=flags_m + flags_c + flags_a,
-        profile=profile,
-        algorithm="sktdpc-reference",
-        dataset_name=d.name,
-        params={"k": k} if n_centers is None else {"k": k, "n_centers": n_centers},
+    return core._finish(
+        d, params, "sktdpc-reference", timings, density, density_order, separation,
+        nearest_denser, lambda i, j: float(m[i, j]), lambda: (n_pairs, 1.0),
     )

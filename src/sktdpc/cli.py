@@ -2,7 +2,8 @@
 
 Datasets are file paths or registry names; reports are flat key-value text
 with timings quarantined in their own section.  Exit status 0 means all
-requested work succeeded, 2 means a usage or input problem.
+requested work succeeded, 1 means a bench cell failed, 2 means a usage or
+input problem, 3 means an internal error.
 """
 
 from __future__ import annotations
@@ -28,38 +29,47 @@ def _resolve_dataset(name_or_path: str, label_col: int | None, seed: int) -> Dat
     raise FileNotFoundError(f"no such file or registry dataset: {name_or_path}")
 
 
-def _normalize_mode(flag: str) -> str:
-    return "min-max" if flag == "on" else "none"
+def _write(path: str | None, text: str) -> None:
+    """Write text to the named file, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _run_algorithm(d: Dataset, args) -> core.ClusteringResult:
-    if args.algorithm == "sktdpc":
-        if args.k is None:
-            raise ValueError("--k is required for the sktdpc algorithm")
-        return core.run_sktdpc(d, args.k, n_centers=args.n_centers)
-    if args.algorithm == "reference":
-        if args.k is None:
-            raise ValueError("--k is required for the reference algorithm")
-        return baseline.sktdpc_reference(d, args.k, n_centers=args.n_centers)
-    if args.algorithm == "dpc":
-        if args.dc is None or args.n_centers is None:
-            raise ValueError("--dc and --n-centers are required for the dpc algorithm")
-        return baseline.dpc_original(d, args.dc, args.n_centers, kernel=args.kernel)
-    raise ValueError(f"unknown algorithm {args.algorithm!r}")
+def _load_input(args) -> tuple[Dataset, str, Dataset]:
+    """The input as read, the normalize mode, and the normalized input."""
+    raw = _resolve_dataset(args.input, args.label_col, args.seed)
+    mode = "min-max" if args.normalize == "on" else "none"
+    return raw, mode, normalize(raw, mode)
+
+
+def _run_algorithm(d: Dataset, opts: dict) -> core.ClusteringResult:
+    """Run the algorithm named in a bench cell or in ``vars(args)``."""
+    algorithm = opts.get("algorithm", "sktdpc")
+    k, n_centers = opts.get("k"), opts.get("n_centers")
+    if algorithm in ("sktdpc", "reference"):
+        if k is None:
+            raise ValueError(f"k is required for the {algorithm} algorithm")
+        run = core.run_sktdpc if algorithm == "sktdpc" else baseline.sktdpc_reference
+        return run(d, k, n_centers=n_centers)
+    if algorithm == "dpc":
+        dc = opts.get("dc")
+        if dc is None or n_centers is None:
+            raise ValueError("dc and n_centers are required for the dpc algorithm")
+        return baseline.dpc_original(d, dc, n_centers, kernel=opts.get("kernel", "cutoff"))
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def cmd_cluster(args) -> int:
-    raw = _resolve_dataset(args.input, args.label_col, args.seed)
-    mode = _normalize_mode(args.normalize)
-    d = normalize(raw, mode)
-    result = _run_algorithm(d, args)
+    raw, mode, d = _load_input(args)
+    result = _run_algorithm(d, vars(args))
     rep = report.from_result(result, raw.labels, mode, raw.n, raw.dim)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(str(int(v)) for v in result.labels) + "\n")
+        _write(args.output, "\n".join(str(int(v)) for v in result.labels) + "\n")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_text(rep))
+        _write(args.report, report.to_text(rep))
     scores = f" acc={rep.metrics['acc']:.3f}" if rep.metrics else ""
     print(
         f"{raw.name or args.input}: {len(result.centers)} clusters, "
@@ -98,30 +108,16 @@ def _load_suite(name_or_path: str) -> list[dict]:
 
 
 def _run_cell(cell: dict, repeats: int, seed: int) -> report.RunReport:
-    name = cell["dataset"]
-    raw = _resolve_dataset(name, cell.get("label_col"), seed)
+    raw = _resolve_dataset(cell["dataset"], cell.get("label_col"), seed)
     mode = cell.get("normalize", "min-max")
     d = normalize(raw, mode)
-    algorithm = cell.get("algorithm", "sktdpc")
     times = []
     result = None
-    labels_first = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        if algorithm == "sktdpc":
-            result = core.run_sktdpc(d, cell["k"], n_centers=cell.get("n_centers"))
-        elif algorithm == "reference":
-            result = baseline.sktdpc_reference(d, cell["k"], n_centers=cell.get("n_centers"))
-        elif algorithm == "dpc":
-            result = baseline.dpc_original(
-                d, cell["dc"], cell["n_centers"], kernel=cell.get("kernel", "cutoff")
-            )
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        previous, result = result, _run_algorithm(d, cell)
         times.append(time.perf_counter() - t0)
-        if labels_first is None:
-            labels_first = result.labels
-        elif not np.array_equal(labels_first, result.labels):
+        if previous is not None and not np.array_equal(previous.labels, result.labels):
             raise RuntimeError(f"nondeterministic labels for cell {cell}")
     rep = report.from_result(result, raw.labels, mode, raw.n, raw.dim, tuple(times))
     timings = dict(rep.timings)
@@ -149,11 +145,7 @@ def cmd_bench(args) -> int:
                 )
             )
     text = "".join(report.to_text(r) for r in reports)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, text)
     for r in reports:
         if r.error:
             print(f"FAILED {r.dataset}/{r.algorithm}: {r.error}", file=sys.stderr)
@@ -161,9 +153,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _resolve_dataset(args.input, args.label_col, args.seed)
-    mode = _normalize_mode(args.normalize)
-    d = normalize(raw, mode)
+    raw, mode, d = _load_input(args)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ValueError("need 1 <= k-min <= k-max")
     header = ["k", "centers", "mutation_point", "evaluation_ratio"]
@@ -180,23 +170,15 @@ def cmd_sweep(args) -> int:
             row += [f"{scores[m]:.6f}" for m in ("acc", "ami", "ari", "nmi", "fmi")]
         rows.append("\t".join(row))
     text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, text)
     return 0
 
 
 def cmd_plot(args) -> int:
-    raw = _resolve_dataset(args.input, args.label_col, args.seed)
-    mode = _normalize_mode(args.normalize)
-    d = normalize(raw, mode)
+    raw, mode, d = _load_input(args)
     if args.kind == "scatter" and d.dim != 2:
         raise ValueError(f"scatter plots need 2-D data, got {d.dim} features")
-    if args.k is None:
-        raise ValueError("--k is required to compute the clustering profile")
-    result = core.run_sktdpc(d, args.k, n_centers=args.n_centers)
+    result = _run_algorithm(d, vars(args))
     title = raw.name or os.path.basename(args.input)
     if args.kind == "scatter":
         svg = plots.scatter_svg(d.points, result.labels, result.centers, title=title)
@@ -211,15 +193,8 @@ def cmd_plot(args) -> int:
             ranked, result.mutation_point, len(result.centers),
             title=f"{title} decision values",
         )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.output, svg)
     print(f"wrote {args.output}")
-    return 0
-
-
-def cmd_fetch(args) -> int:
-    dest = registry.fetch(args.name, args.dest)
-    print(f"fetched {args.name} -> {dest}")
     return 0
 
 
@@ -286,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output .svg path")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("fetch", help="download a non-bundled registry dataset")
-    p.add_argument("name")
-    p.add_argument("--dest", default=None, help="destination directory")
-    p.set_defaults(func=cmd_fetch)
-
     return parser
 
 
@@ -299,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RecursionError as exc:  # a RuntimeError, but a fault of ours, not of the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (FileNotFoundError, ParseError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

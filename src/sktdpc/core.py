@@ -3,7 +3,9 @@
 Stages: k-NN local density, sparse relative-separation search, decision
 values, mutation-point center detection with pseudo-center filtering, and
 label propagation along nearest-denser-point links.  Every stage is a pure
-function; :func:`run_sktdpc` chains them and collects instrumentation.
+function; :func:`run_sktdpc` chains them and collects instrumentation.  The
+stages after separation are shared with the full-matrix
+:func:`sktdpc.baseline.sktdpc_reference`.
 """
 
 from __future__ import annotations
@@ -250,6 +252,75 @@ def assign_labels(
     return labels, flags
 
 
+def _checked_params(d: Dataset, k: int, n_centers: int | None) -> dict:
+    """Validate k and n_centers against the dataset; the result's params dict."""
+    if not 1 <= k <= d.n - 1:
+        raise ValueError(f"k must be in [1, {d.n - 1}], got {k}")
+    if n_centers is not None and not 1 <= n_centers <= d.n:
+        raise ValueError(f"n_centers must be in [1, {d.n}], got {n_centers}")
+    return {"k": k} if n_centers is None else {"k": k, "n_centers": n_centers}
+
+
+def _timed(timings: dict[str, float], stage: str, fn: Callable, *args):
+    """``fn(*args)``, its wall time recorded under ``stage``."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    timings[stage] = time.perf_counter() - t0
+    return out
+
+
+def _finish(
+    d: Dataset, params: dict, algorithm: str, timings: dict[str, float],
+    density: np.ndarray, density_order: np.ndarray,
+    separation: np.ndarray, nearest_denser: np.ndarray,
+    distance_fn: Callable[[int, int], float],
+    evaluations: Callable[[], tuple[int, float]],
+) -> ClusteringResult:
+    """Stages every k-NN density variant shares: decision values, centers
+    (adaptive, or the top ``params["n_centers"]`` ranks) and label
+    assignment, then the result.  ``evaluations`` gives the distance
+    evaluation count and ratio; it is read after assignment, which may
+    compute distances through ``distance_fn``.
+    """
+    n_centers = params.get("n_centers")
+    t0 = time.perf_counter()
+    decision, decision_order = decision_values(density, separation)
+    m_p, flags_m = mutation_point(decision, decision_order)
+    if n_centers is None:
+        centers, candidates, flags_c = select_centers(
+            density, separation, decision_order, m_p
+        )
+    else:
+        centers = candidates = tuple(int(x) for x in decision_order[:n_centers])
+        flags_c = ("fixed-center-count",)
+    timings["centers"] = time.perf_counter() - t0
+    labels, flags_a = _timed(
+        timings, "assign", assign_labels, density_order, nearest_denser, centers, distance_fn
+    )
+    timings["total"] = sum(timings.values())
+
+    flags = flags_m + flags_c + flags_a
+    if np.isinf(density).any():
+        flags = flags + ("infinite-density-sentinel",)
+    distance_evaluations, distance_ratio = evaluations()
+    return ClusteringResult(
+        centers=centers,
+        labels=labels,
+        mutation_point=m_p,
+        candidate_centers=candidates,
+        distance_evaluations=distance_evaluations,
+        distance_ratio=distance_ratio,
+        timings=timings,
+        flags=flags,
+        profile=DpcProfile(
+            density, density_order, separation, nearest_denser, decision, decision_order
+        ),
+        algorithm=algorithm,
+        dataset_name=d.name,
+        params=params,
+    )
+
+
 def run_sktdpc(d: Dataset, k: int, n_centers: int | None = None) -> ClusteringResult:
     """Cluster a dataset with the tree-accelerated sparse pipeline.
 
@@ -262,64 +333,15 @@ def run_sktdpc(d: Dataset, k: int, n_centers: int | None = None) -> ClusteringRe
     Deterministic for a fixed input; per-phase wall times and the distance
     evaluation counter are reported alongside the labels.
     """
-    if not 1 <= k <= d.n - 1:
-        raise ValueError(f"k must be in [1, {d.n - 1}], got {k}")
-    if n_centers is not None and not 1 <= n_centers <= d.n:
-        raise ValueError(f"n_centers must be in [1, {d.n}], got {n_centers}")
+    params = _checked_params(d, k, n_centers)
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    tree = build(d)
-    timings["build"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    neighbor_sets, cache = knn_all(tree, k)
-    timings["knn"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    density, density_order = local_density(neighbor_sets)
-    timings["density"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    separation, nearest_denser = relative_separation(
-        density, density_order, neighbor_sets, cache
+    tree = _timed(timings, "build", build, d)
+    neighbor_sets, cache = _timed(timings, "knn", knn_all, tree, k)
+    density, density_order = _timed(timings, "density", local_density, neighbor_sets)
+    separation, nearest_denser = _timed(
+        timings, "separation", relative_separation, density, density_order, neighbor_sets, cache
     )
-    timings["separation"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    decision, decision_order = decision_values(density, separation)
-    m_p, flags_m = mutation_point(decision, decision_order)
-    if n_centers is None:
-        centers, candidates, flags_c = select_centers(
-            density, separation, decision_order, m_p
-        )
-    else:
-        centers = tuple(int(x) for x in decision_order[:n_centers])
-        candidates = centers
-        flags_c = ("fixed-center-count",)
-    timings["centers"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    labels, flags_a = assign_labels(density_order, nearest_denser, centers, cache.distance)
-    timings["assign"] = time.perf_counter() - t0
-    timings["total"] = sum(timings.values())
-
-    flags = flags_m + flags_c + flags_a
-    if np.isinf(density).any():
-        flags = flags + ("infinite-density-sentinel",)
-    profile = DpcProfile(
-        density, density_order, separation, nearest_denser, decision, decision_order
-    )
-    return ClusteringResult(
-        centers=centers,
-        labels=labels,
-        mutation_point=m_p,
-        candidate_centers=candidates,
-        distance_evaluations=cache.evaluations,
-        distance_ratio=cache.ratio(),
-        timings=timings,
-        flags=flags,
-        profile=profile,
-        algorithm="sktdpc",
-        dataset_name=d.name,
-        params={"k": k} if n_centers is None else {"k": k, "n_centers": n_centers},
+    return _finish(
+        d, params, "sktdpc", timings, density, density_order, separation,
+        nearest_denser, cache.distance, lambda: (cache.evaluations, cache.ratio()),
     )

@@ -177,9 +177,9 @@ def normalize(d: Dataset, mode: str = "min-max") -> Dataset:
 def pca_reduce(d: Dataset, target_dim: int) -> Dataset:
     """Project onto the leading eigenvectors of the sample covariance matrix.
 
-    Eigenpairs come from a cyclic Jacobi sweep on the symmetric covariance
-    matrix; each eigenvector's sign is fixed so its largest-magnitude entry
-    is positive, making the projection deterministic.
+    Components are taken by descending eigenvalue, equal eigenvalues by
+    ascending index; each eigenvector's sign is fixed so its largest-magnitude
+    entry is positive, making the projection deterministic.
     """
     if not 1 <= target_dim <= d.dim:
         raise ValueError(f"target_dim must be in [1, {d.dim}], got {target_dim}")
@@ -188,7 +188,7 @@ def pca_reduce(d: Dataset, target_dim: int) -> Dataset:
         cov = centered.T @ centered / (d.n - 1)
     else:
         cov = np.zeros((d.dim, d.dim))
-    eigvals, eigvecs = jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.lexsort((np.arange(len(eigvals)), -eigvals))
     basis = eigvecs[:, order[:target_dim]]
     for j in range(basis.shape[1]):
@@ -197,42 +197,6 @@ def pca_reduce(d: Dataset, target_dim: int) -> Dataset:
             basis[:, j] = -col
     projected = centered @ basis
     return replace(d, points=projected, name=f"{d.name}-pca{target_dim}" if d.name else f"pca{target_dim}")
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Stops when the Frobenius norm of the off-diagonal part drops below
-    ``tol`` times the Frobenius norm of the matrix.  Suited to the small
-    matrices that arise as feature covariances.
-    """
-    a = np.array(a, dtype=np.float64)
-    m = a.shape[0]
-    v = np.eye(m)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(m), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2)
-        if off < tol * norm:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                if a[p, q] == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(m)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
 
 
 def generate_gaussian_blobs(

@@ -175,6 +175,7 @@ def knn_query(
             search(far)
 
     search(tree.root)
+    del search  # breaks the closure's self-reference, so the cache is freed by refcount
     found = sorted((-d, -i) for d, i in heap)
     return NeighborSet(target, tuple((i, d) for d, i in found))
 

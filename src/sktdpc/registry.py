@@ -1,16 +1,15 @@
-"""Named benchmark datasets: bundled fixtures, generated fixtures, fetching.
+"""Named benchmark datasets: bundled fixtures, prepared files, generated fixtures.
 
 The small benchmark datasets ship with the package as hash-pinned delimited
-text fixtures (features then a label column).  Larger ones carry their
-original download locations and are fetched on demand.  Generated fixtures
-are deterministic functions of a seed.
+text fixtures (features then a label column).  Larger ones record their
+original source as provenance and are read from a prepared copy in the data
+directory.  Generated fixtures are deterministic functions of a seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
@@ -30,7 +29,6 @@ class DatasetInfo:
     bundled_file: str | None = None
     sha256: str | None = None
     url: str | None = None
-    fetchable: bool = False  # plain single-file download, label column last
 
 
 REGISTRY: dict[str, DatasetInfo] = {
@@ -97,7 +95,6 @@ REGISTRY: dict[str, DatasetInfo] = {
         DatasetInfo(
             "banknote", 1372, 4, 2, 2, 0.683,
             url="https://archive.ics.uci.edu/ml/machine-learning-databases/00267/data_banknote_authentication.txt",
-            fetchable=True,
         ),
         DatasetInfo(
             "ecoli", 336, 7, 8, 2, 0.807,
@@ -151,7 +148,7 @@ def sha256_file(path: str) -> str:
 
 
 def load_named(name: str, seed: int = 0) -> Dataset:
-    """Load a registry dataset by name (bundled, previously fetched, or generated)."""
+    """Load a registry dataset by name (bundled, prepared in the data directory, or generated)."""
     if name in GENERATED:
         return GENERATED[name](seed)
     info = REGISTRY.get(name)
@@ -167,8 +164,8 @@ def load_named(name: str, seed: int = 0) -> Dataset:
         path = os.path.join(data_dir(), f"{name}.txt")
         if not os.path.exists(path):
             raise FileNotFoundError(
-                f"dataset {name!r} is not bundled; fetch it first (sktdpc fetch {name}) "
-                f"or place a delimited copy with a trailing label column at {path}"
+                f"dataset {name!r} is not bundled; prepare a delimited copy with a "
+                f"trailing label column at {path}"
             )
         d = load(path, label_column=-1, name=name)
     if d.n != info.n or d.dim != info.dim:
@@ -176,36 +173,3 @@ def load_named(name: str, seed: int = 0) -> Dataset:
             f"dataset {name}: expected {info.n}x{info.dim}, got {d.n}x{d.dim}"
         )
     return d
-
-
-def fetch(name: str, dest_dir: str | None = None, timeout: float = 60.0) -> str:
-    """Download a non-bundled dataset from its original location.
-
-    Only plain delimited single-file sources with a trailing label column are
-    fetched automatically; the rest ship labels separately or as archives and
-    need manual preparation into ``<data-dir>/<name>.txt`` (see registry URL).
-    """
-    info = REGISTRY.get(name)
-    if info is None:
-        raise KeyError(f"unknown dataset {name!r}")
-    if info.bundled_file is not None:
-        raise ValueError(f"dataset {name!r} is bundled with the package already")
-    if not info.fetchable:
-        raise ValueError(
-            f"dataset {name!r} needs manual preparation "
-            f"(delimited text, label column last) at {os.path.join(data_dir(), name + '.txt')}; "
-            f"source: {info.url}"
-        )
-    dest_dir = dest_dir or data_dir()
-    os.makedirs(dest_dir, exist_ok=True)
-    dest = os.path.join(dest_dir, f"{name}.txt")
-    with urllib.request.urlopen(info.url, timeout=timeout) as resp:
-        payload = resp.read()
-    with open(dest, "wb") as fh:
-        fh.write(payload)
-    got = load(dest, label_column=-1, name=name)
-    if got.n != info.n or got.dim != info.dim:
-        raise RuntimeError(
-            f"downloaded {name}: expected {info.n}x{info.dim}, got {got.n}x{got.dim}"
-        )
-    return dest

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
-from sktdpc import registry, report
+from sktdpc import core, registry, report
 from sktdpc.cli import main
 from sktdpc.dataset import save
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -39,6 +43,15 @@ def test_cluster_k_zero_usage_error(flame_file):
     with pytest.raises(SystemExit) as err:
         main(["cluster", str(flame_file), "--k", "0"])
     assert err.value.code == 2
+
+
+def test_cluster_internal_error_exit_3(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(core, "run_sktdpc", overflow)
+    assert main(["cluster", "flame", "--k", "3"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: maximum recursion depth")
 
 
 def test_cluster_empty_file_exit_2(tmp_path, capsys):
@@ -116,14 +129,19 @@ def test_plot_scatter_rejects_high_dim(tmp_path, capsys):
 
 
 def test_bench_builtin_suite_deterministic_reports(tmp_path):
-    out_a = tmp_path / "a.txt"
-    out_b = tmp_path / "b.txt"
-    assert main(["bench", "--suite", "real", "--repeats", "2", "--output", str(out_a)]) == 0
-    assert main(["bench", "--suite", "real", "--repeats", "2", "--output", str(out_b)]) == 0
-    assert report.strip_timings(out_a.read_text()) == report.strip_timings(out_b.read_text())
-    runs = report.parse_text(out_a.read_text())
-    assert len(runs) == 3
-    assert all(r["timings"]["repeats"] == "2" for r in runs)
+    """Timings aside, two runs of a builtin suite match each other and the
+    committed golden report."""
+    for suite, cells in (("synthetic", 4), ("real", 3)):
+        out_a = tmp_path / f"{suite}-a.txt"
+        out_b = tmp_path / f"{suite}-b.txt"
+        assert main(["bench", "--suite", suite, "--repeats", "2", "--output", str(out_a)]) == 0
+        assert main(["bench", "--suite", suite, "--repeats", "2", "--output", str(out_b)]) == 0
+        stripped = report.strip_timings(out_a.read_text())
+        assert stripped == report.strip_timings(out_b.read_text())
+        assert stripped == (GOLDEN / f"bench_{suite}.txt").read_text()
+        runs = report.parse_text(out_a.read_text())
+        assert len(runs) == cells
+        assert all(r["timings"]["repeats"] == "2" for r in runs)
 
 
 def test_bench_custom_suite_and_failure_recording(tmp_path):
@@ -175,14 +193,3 @@ def test_cluster_classic_dpc_algorithm(tmp_path):
 def test_cluster_dpc_requires_dc(capsys):
     rc = main(["cluster", "spiral", "--algorithm", "dpc", "--n-centers", "3"])
     assert rc == 2
-
-
-def test_fetch_bundled_dataset_rejected(capsys):
-    rc = main(["fetch", "flame"])
-    assert rc == 2
-
-
-def test_fetch_manual_dataset_explains(capsys):
-    rc = main(["fetch", "pendigits"])
-    assert rc == 2
-    assert "manual" in capsys.readouterr().err

@@ -233,6 +233,16 @@ def test_run_sktdpc_equals_reference_on_corpus():
         assert fast.centers == ref.centers
         assert fast.mutation_point == ref.mutation_point
         assert np.array_equal(fast.labels, ref.labels)
+        assert fast.flags == ref.flags
+
+
+def test_run_sktdpc_flags_match_reference_with_coincident_points():
+    """Coincident points get infinite density; both pipelines flag it."""
+    rng = np.random.default_rng(0)
+    d = Dataset(np.vstack([np.zeros((5, 2)), rng.uniform(size=(40, 2))]))
+    fast = core.run_sktdpc(d, 3)
+    assert "infinite-density-sentinel" in fast.flags
+    assert fast.flags == sktdpc_reference(d, 3).flags
 
 
 def test_run_sktdpc_fixed_center_count(two_blobs):

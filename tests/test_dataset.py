@@ -8,7 +8,6 @@ from sktdpc.dataset import (
     Dataset,
     ParseError,
     generate_gaussian_blobs,
-    jacobi_eigh,
     load,
     normalize,
     pca_reduce,
@@ -149,16 +148,6 @@ def test_pca_deterministic_sign():
     a = pca_reduce(d, 2)
     b = pca_reduce(d, 2)
     assert np.array_equal(a.points, b.points)
-
-
-def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(5)
-    a = rng.normal(0, 1, size=(6, 6))
-    sym = a @ a.T
-    vals, vecs = jacobi_eigh(sym)
-    ref = np.sort(np.linalg.eigvalsh(sym))
-    assert np.allclose(np.sort(vals), ref, rtol=1e-10, atol=1e-10)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-9)
 
 
 def test_generate_two_blob_fixture(two_blobs):
