@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .kdtree import NeighborSet, build, knn_all
+from .kdtree import NeighborSet, build, knn_all, nearest_denser_query, subtree_min_rank
 from .sparse import SparseDistanceMatrix
 
 
@@ -98,13 +98,19 @@ def relative_separation(
 
     For the densest point the separation is its distance to the farthest
     point.  For any other point, if some k-nearest neighbor is denser, the
-    answer is already cached and no new distance is computed; otherwise the
-    denser points are scanned, reading cached entries where present and
-    computing (and counting) the rest.  Ties break on ascending index.
+    answer is already cached and no new distance is computed.  Otherwise
+    (a fallback point) an exact nearest-denser query runs on the k-d tree
+    the cache was filled from (``cache.tree``, set by
+    :func:`~sktdpc.kdtree.knn_all`), pruning subtrees with no denser point;
+    the paper scans every denser point here instead, and the query's pairs
+    are a subset of that scan's.  Ties break on ascending index.
     """
+    tree = cache.tree
+    if tree is None:
+        raise ValueError("relative_separation needs the cache returned by knn_all")
     n = len(density)
-    rank = np.empty(n, dtype=np.int64)
-    rank[density_order] = np.arange(n)
+    rank = np.argsort(density_order).tolist()  # inverse of the density order
+    min_rank = None  # per-subtree minimum rank, built for the first fallback point
     separation = np.empty(n)
     nearest_denser = np.full(n, -1, dtype=np.int64)
 
@@ -118,23 +124,17 @@ def relative_separation(
                         far = d
             separation[i] = far
             continue
-        hit = False
         for j, d in neighbor_sets[i].neighbors:
             if rank[j] < r:
                 separation[i] = d
                 nearest_denser[i] = j
-                hit = True
                 break
-        if not hit:
-            best_d = math.inf
-            best_j = -1
-            for j in (int(x) for x in density_order[:r]):
-                d = cache.distance(i, j)
-                if d < best_d or (d == best_d and j < best_j):
-                    best_d = d
-                    best_j = j
-            separation[i] = best_d
-            nearest_denser[i] = best_j
+        else:
+            if min_rank is None:
+                min_rank = subtree_min_rank(tree, rank)
+            separation[i], nearest_denser[i] = nearest_denser_query(
+                tree, i, rank, min_rank, cache
+            )
     return separation, nearest_denser
 
 

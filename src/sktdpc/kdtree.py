@@ -1,14 +1,20 @@
-"""Exact k-nearest-neighbor search over a k-d tree.
+"""Exact k-nearest-neighbor and nearest-denser search over a k-d tree.
 
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack with hyperplane pruning.  Every
 point-to-point distance evaluated on the way is recorded in a shared
 :class:`~sktdpc.sparse.SparseDistanceMatrix`, which downstream stages reuse.
+
+The nearest-denser query finds, for one point, the closest point of smaller
+density rank.  Besides the hyperplane bound it skips every subtree whose
+smallest rank (:func:`subtree_min_rank`) is not smaller than the query's,
+as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD 2021).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +194,74 @@ def knn_all(
     Queries run in point-index order; the final cache content is the union
     of all evaluated pairs and does not depend on that order.
     """
-    cache = SparseDistanceMatrix(tree.dataset.points)
+    cache = SparseDistanceMatrix(tree.dataset.points, tree)
     sets = [knn_query(tree, i, k, cache, prune) for i in range(tree.dataset.n)]
     return sets, cache
+
+
+def subtree_min_rank(tree: KdTree, rank: list[int]) -> list[int]:
+    """Smallest ``rank`` in the subtree under each node, indexed by the
+    node's point (each point owns exactly one node).  One O(n) pass."""
+    preorder = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if node.left is not None:
+            stack.append(node.left)
+        if node.right is not None:
+            stack.append(node.right)
+    low = list(rank)
+    for node in reversed(preorder):  # children before their parent
+        m = low[node.index]
+        if node.left is not None and low[node.left.index] < m:
+            m = low[node.left.index]
+        if node.right is not None and low[node.right.index] < m:
+            m = low[node.right.index]
+        low[node.index] = m
+    return low
+
+
+def nearest_denser_query(
+    tree: KdTree,
+    target: int,
+    rank: list[int],
+    min_rank: list[int],
+    cache: SparseDistanceMatrix,
+) -> tuple[float, int]:
+    """Exact nearest point of smaller rank than ``target``, as (distance, index).
+
+    ``min_rank`` is :func:`subtree_min_rank` of the same ``rank``.  Equal
+    distances go to the lower index.  A subtree is skipped when it holds no
+    point of smaller rank, or when the target-to-hyperplane distance is
+    strictly greater than the best distance found, so an equidistant point
+    of lower index across the plane is still reached.  Distances are
+    evaluated through ``cache.distance(target, j)``.  Returns
+    ``(inf, -1)`` when ``target`` has the smallest rank.
+    """
+    coords = tree._coords[target]
+    distance = cache.distance
+    r = rank[target]
+    best_d, best_j = math.inf, -1
+    stack = [(tree.root, 0.0)]  # (node, lower bound on distances in its subtree)
+    while stack:
+        node, bound = stack.pop()
+        if min_rank[node.index] >= r or bound > best_d:
+            continue
+        idx = node.index
+        if rank[idx] < r:
+            d = distance(target, idx)
+            if best_j < 0 or d < best_d or (d == best_d and idx < best_j):
+                best_d, best_j = d, idx
+        if node.dim < 0:
+            continue
+        diff = coords[node.dim] - node.value
+        if diff <= 0.0:
+            near, far = node.left, node.right
+        else:
+            near, far = node.right, node.left
+        if far is not None:
+            stack.append((far, -diff if diff <= 0.0 else diff))
+        if near is not None:
+            stack.append((near, bound))
+    return best_d, best_j

@@ -3,7 +3,9 @@
 Only the distances actually requested are ever computed.  The cache is the
 shared record between the k-nearest-neighbor search (which fills it) and the
 relative-separation pass (which reads it back and tops it up), and its
-evaluation counter is what the benchmark instrumentation reports.
+evaluation counter is what the benchmark instrumentation reports.  A cache
+filled by :func:`sktdpc.kdtree.knn_all` also carries the tree it was filled
+from, so the separation pass can search that tree without rebuilding it.
 """
 
 from __future__ import annotations
@@ -18,16 +20,18 @@ class SparseDistanceMatrix:
 
     ``distance(i, j)`` computes through the cache: a repeated request for a
     pair returns the stored value without recomputation, so the evaluation
-    counter equals the number of distinct pairs ever computed.
+    counter equals the number of distinct pairs ever computed.  ``tree`` is
+    the k-d tree over the same points, or None.
     """
 
-    __slots__ = ("_points", "_store", "evaluations")
+    __slots__ = ("_points", "_store", "evaluations", "tree")
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: np.ndarray, tree=None):
         pts = np.asarray(points, dtype=np.float64)
         self._points = [tuple(row) for row in pts.tolist()]
         self._store: dict[tuple[int, int], float] = {}
         self.evaluations = 0
+        self.tree = tree
 
     def __len__(self) -> int:
         return len(self._store)

@@ -65,9 +65,18 @@ def corpus():
             else:
                 continue
             simulated |= need - known
+        # `simulated` holds the new pairs of the paper's scan: the densest
+        # point against all, each fallback point against every denser point.
+        # The tree query evaluates a subset of them, never more, and the
+        # intersection branch evaluates none.
+        densest = int(order[0])
+        densest_pairs = {(min(densest, j), max(densest, j)) for j in range(d.n) if j != densest}
         before = cache.evaluations
         separation, nearest_denser = core.relative_separation(density, order, sets, cache)
-        if cache.evaluations - before != len(simulated) or cache.pairs() != known | simulated:
+        new = cache.pairs() - known
+        evaluated = cache.evaluations - before
+        if not (new <= simulated and densest_pairs <= cache.pairs()
+                and evaluated == len(new) <= len(simulated)):
             failures["intersection"].append(seed)
 
         ref_sep, ref_nhd = brute_separation(m, order)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
 from sktdpc import core
 from sktdpc.baseline import brute_separation, full_matrix, sktdpc_reference
 from sktdpc.dataset import Dataset
 from sktdpc.kdtree import NeighborSet, build, knn_all
+from sktdpc.sparse import SparseDistanceMatrix
 
 
 def test_local_density_direct():
@@ -114,6 +117,112 @@ def test_separation_matches_brute_force_corpus():
         ref_sep, ref_nhd = brute_separation(m, order)
         assert np.array_equal(nearest_denser, ref_nhd)
         assert np.array_equal(separation, ref_sep)
+
+
+def test_separation_tree_query_evaluates_a_twentieth_of_the_scan():
+    """Fallback points query the tree instead of scanning every denser point:
+    on uniform data, where fallback points are common, separation evaluates
+    at most 1/20 of the new pairs the paper's scan would, with exact results."""
+    d = Dataset(np.random.default_rng(3000).uniform(size=(3000, 2)))
+    sets, cache, density, order = _pipeline_to_separation(d, 7)
+    rank = np.empty(d.n, dtype=int)
+    rank[order] = np.arange(d.n)
+    scan = set()
+    for r, i in enumerate(int(x) for x in order):
+        if r == 0:
+            scan |= {(min(i, j), max(i, j)) for j in range(d.n) if j != i}
+        elif not any(rank[j] < r for j in sets[i].indices):
+            scan |= {(min(i, int(j)), max(i, int(j))) for j in order[:r]}
+    known = cache.pairs()
+    scan -= known
+    before = cache.evaluations
+    separation, nearest_denser = core.relative_separation(density, order, sets, cache)
+    assert cache.evaluations - before <= len(scan) / 20
+    assert cache.pairs() - known <= scan
+    ref_sep, ref_nhd = brute_separation(full_matrix(d), order)
+    assert np.array_equal(nearest_denser, ref_nhd)
+    assert np.array_equal(separation, ref_sep)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_separation_integer_lattice_ties(k):
+    """Equidistant denser points on both sides of split planes: the lowest
+    index wins, as in the full scan."""
+    grid = np.array([(x, y) for x in range(9) for y in range(9)], dtype=float)
+    d = Dataset(grid[np.random.default_rng(k).permutation(81)])
+    sets, cache, density, order = _pipeline_to_separation(d, k)
+    separation, nearest_denser = core.relative_separation(density, order, sets, cache)
+    ref_sep, ref_nhd = brute_separation(full_matrix(d), order)
+    assert np.array_equal(nearest_denser, ref_nhd)
+    assert np.array_equal(separation, ref_sep)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_separation_fallback_point_with_every_denser_point_at_infinity():
+    """Squared distances between the two groups overflow to inf; point 5 has
+    no denser neighbor, and each denser point is at inf.  It still gets the
+    lowest-index denser point, as in the full scan, not -1."""
+    pts = np.array([[0.0], [1.0], [2.0], [3.0], [1e155], [1e155 + 4e139], [1e155 + 8e139]])
+    d = Dataset(pts)
+    sets, cache, density, order = _pipeline_to_separation(d, 2)
+    separation, nearest_denser = core.relative_separation(density, order, sets, cache)
+    ref_sep, ref_nhd = brute_separation(full_matrix(d), order)
+    assert nearest_denser[5] == 0
+    assert np.array_equal(nearest_denser, ref_nhd)
+    assert np.array_equal(separation, ref_sep)
+    assert core.run_sktdpc(d, 2).flags == sktdpc_reference(d, 2).flags
+
+
+def test_separation_needs_the_knn_cache():
+    d = Dataset(np.array([[0.0], [1.0], [3.0]]))
+    sets, _, density, order = _pipeline_to_separation(d, 1)
+    with pytest.raises(ValueError, match="knn_all"):
+        core.relative_separation(density, order, sets, SparseDistanceMatrix(d.points))
+
+
+# Coordinates are multiples of 1/16 or of 1/10 in a small range, so squared
+# differences never underflow (the 2^+-600 scales are a separate, open defect).
+_coordinate = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.integers(-800, 800).map(lambda v: v / 16),
+    st.integers(-800, 800).map(lambda v: v / 10),
+)
+
+
+@st.composite
+def _adversarial(draw):
+    """Small point sets that stress ties: duplicate-heavy, collinear or with
+    constant columns; n down to 2 and k up to n - 1."""
+    n = draw(st.one_of(st.integers(2, 3), st.integers(2, 60)))
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["duplicates", "collinear", "constant-columns", "free"]))
+    if kind == "duplicates":
+        pool = draw(st.lists(st.lists(_coordinate, min_size=dim, max_size=dim),
+                             min_size=1, max_size=4))
+        pts = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    elif kind == "collinear":
+        t = np.array(draw(st.lists(_coordinate, min_size=n, max_size=n)))
+        direction = np.array(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
+        pts = t[:, None] * direction[None, :] + 1.0
+    else:
+        pts = np.array(draw(st.lists(st.lists(_coordinate, min_size=dim, max_size=dim),
+                                     min_size=n, max_size=n)))
+        if kind == "constant-columns":
+            constant = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+            pts[:, constant] = 0.5
+    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    return Dataset(pts.reshape(n, dim)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adversarial())
+def test_separation_equals_brute_force_on_adversarial_inputs(case):
+    d, k = case
+    sets, cache, density, order = _pipeline_to_separation(d, k)
+    separation, nearest_denser = core.relative_separation(density, order, sets, cache)
+    ref_sep, ref_nhd = brute_separation(full_matrix(d), order)
+    assert np.array_equal(nearest_denser, ref_nhd)
+    assert np.array_equal(separation, ref_sep)
 
 
 def test_decision_values_product_and_ties():

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_dataset
 from sktdpc.baseline import brute_knn, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
-from sktdpc.kdtree import build, knn_all, knn_query
+from sktdpc.kdtree import build, knn_all, knn_query, nearest_denser_query, subtree_min_rank
 from sktdpc.sparse import SparseDistanceMatrix
 
 
@@ -239,3 +239,43 @@ def test_query_on_tight_cluster_field():
     m = full_matrix(d)
     for i in range(0, d.n, 11):
         assert knn_query(tree, i, 10) == brute_knn(m, i, 10)
+
+
+def _lattice():
+    """8x8 integer lattice in shuffled index order: equidistant points sit on
+    both sides of split planes, and geometry does not follow index."""
+    grid = np.array([(x, y) for x in range(8) for y in range(8)], dtype=float)
+    return Dataset(grid[np.random.default_rng(5).permutation(64)])
+
+
+def _coincident():
+    """Clumps of coincident points (distance 0) among distinct ones."""
+    rng = np.random.default_rng(6)
+    clumps = np.repeat(rng.integers(0, 4, size=(6, 2)).astype(float), 4, axis=0)
+    return Dataset(np.vstack([clumps, rng.integers(0, 4, size=(16, 2)).astype(float)]))
+
+
+@pytest.mark.parametrize("make", [_lattice, _coincident])
+def test_nearest_denser_query_matches_scan_with_ties(make):
+    d = make()
+    tree = build(d)
+    m = full_matrix(d)
+    rng = np.random.default_rng(7)
+    tied = zero_tied = 0
+    for _ in range(5):
+        rank = rng.permutation(d.n).tolist()
+        low = subtree_min_rank(tree, rank)
+        cache = SparseDistanceMatrix(d.points)
+        for i in range(d.n):
+            denser = [j for j in range(d.n) if rank[j] < rank[i]]
+            got = nearest_denser_query(tree, i, rank, low, cache)
+            if not denser:
+                assert got == (math.inf, -1)
+                continue
+            want = min((m[i, j], j) for j in denser)
+            assert got == want
+            ties = sum(m[i, j] == want[0] for j in denser) > 1
+            tied += ties
+            zero_tied += ties and want[0] == 0.0
+    assert tied > 0
+    assert (zero_tied > 0) == (make is _coincident)
