@@ -1,8 +1,15 @@
 """Exact k-nearest-neighbor and nearest-denser search over a k-d tree.
 
 The tree splits on the maximum-variance dimension at the median point, one
-point per node, and queries backtrack with hyperplane pruning.  Every
-point-to-point distance evaluated on the way is recorded in a shared
+point per node, and queries backtrack with hyperplane pruning.  It is held
+as flat arrays in preorder and built with an explicit stack, so nothing here
+recurses, however deep the tree.
+
+The k-NN search runs every query in lockstep: all queries walk the tree
+together, one stack pop each per step, with numpy vectors across the
+queries.  Each query still pops exactly the nodes a depth-first search of
+its own would (Friedman, Bentley & Finkel, ACM TOMS 1977).  Every pair
+evaluated on the way is recorded in a shared
 :class:`~sktdpc.sparse.SparseDistanceMatrix`, which downstream stages reuse.
 
 The nearest-denser query finds, for one point, the closest point of smaller
@@ -13,7 +20,6 @@ as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD 2021).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -48,82 +54,233 @@ class NeighborSet:
         return tuple(d for _, d in self.neighbors)
 
 
-class _Node:
-    __slots__ = ("index", "dim", "value", "left", "right")
-
-    def __init__(self, index, dim, value, left, right):
-        self.index = index
-        self.dim = dim
-        self.value = value
-        self.left = left
-        self.right = right
-
-
 class KdTree:
-    """Spatial index over a Dataset; immutable once built."""
+    """Spatial index over a Dataset; immutable once built.
+
+    Nodes are numbered in preorder (a node, then its left subtree, then its
+    right subtree; the root is node 0), one node per point.  For node ``v``:
+    ``point[v]`` is its point, ``split_dim[v]`` its split dimension (-1 at a
+    leaf), ``split_value[v]`` that point's coordinate in it, and
+    ``left[v]``/``right[v]`` its children (-1 when absent).
+    """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self._coords = [tuple(row) for row in dataset.points.tolist()]
-        self.root = _build_node(dataset.points, np.arange(dataset.n))
+        self._nodes, self._depth = _build(dataset.points)
+        arrays = [np.array(a) for a in self._nodes]
+        for a in arrays:
+            a.setflags(write=False)
+        self.point, self.split_dim, self.split_value, self.left, self.right = arrays
 
     def depth(self) -> int:
-        def walk(node):
-            if node is None:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        """Nodes on the longest root-to-leaf path."""
+        return self._depth
 
     def dump(self) -> str:
         """Indented text rendering of the tree structure, for golden tests."""
+        point, split_dim, split_value, left, right = self._nodes
         out: list[str] = []
-
-        def walk(node, indent):
-            if node is None:
-                return
-            if node.left is None and node.right is None:
-                out.append(f"{'  ' * indent}leaf point={node.index}")
-            else:
-                out.append(
-                    f"{'  ' * indent}node point={node.index} dim={node.dim} split={node.value!r}"
-                )
-                walk(node.left, indent + 1)
-                walk(node.right, indent + 1)
-
-        walk(self.root, 0)
+        stack = [(0, 0)]
+        while stack:
+            v, indent = stack.pop()
+            if left[v] < 0 and right[v] < 0:
+                out.append(f"{'  ' * indent}leaf point={point[v]}")
+                continue
+            out.append(
+                f"{'  ' * indent}node point={point[v]} dim={split_dim[v]} split={split_value[v]!r}"
+            )
+            for child in (right[v], left[v]):
+                if child >= 0:
+                    stack.append((child, indent + 1))
         return "\n".join(out)
 
 
-def _build_node(points: np.ndarray, subset: np.ndarray):
-    if len(subset) == 0:
-        return None
-    if len(subset) == 1:
-        return _Node(int(subset[0]), -1, 0.0, None, None)
-    variances = points[subset].var(axis=0)
-    dim = int(np.argmax(variances))  # ties: lowest dimension index
-    coords = points[subset, dim]
-    order = np.lexsort((subset, coords))
-    ranked = subset[order]
-    mid = (len(ranked) + 1) // 2 - 1  # rank ceil(count/2), 1-based
-    pivot = int(ranked[mid])
-    split_value = float(points[pivot, dim])
-    rest = np.concatenate([ranked[:mid], ranked[mid + 1 :]])
-    rest_coords = points[rest, dim]
-    left = rest[rest_coords <= split_value]
-    right = rest[rest_coords > split_value]
-    return _Node(
-        pivot,
-        dim,
-        split_value,
-        _build_node(points, left),
-        _build_node(points, right),
-    )
+def _build(points: np.ndarray) -> tuple[tuple[list, ...], int]:
+    """Preorder node lists (point, split_dim, split_value, left, right) and depth."""
+    n = len(points)
+    point: list[int] = []
+    split_dim: list[int] = []
+    split_value: list[float] = []
+    left = [-1] * n
+    right = [-1] * n
+    depth = 0
+    # (points of the subtree, parent node, the parent's child list, level)
+    stack = [(np.arange(n), -1, left, 1)]
+    while stack:
+        subset, parent, side, level = stack.pop()
+        node = len(point)
+        if parent >= 0:
+            side[parent] = node
+        depth = max(depth, level)
+        if len(subset) == 1:
+            point.append(int(subset[0]))
+            split_dim.append(-1)
+            split_value.append(0.0)
+            continue
+        variances = points[subset].var(axis=0)
+        dim = int(np.argmax(variances))  # ties: lowest dimension index
+        coords = points[subset, dim]
+        order = np.lexsort((subset, coords))
+        ranked = subset[order]
+        mid = (len(ranked) + 1) // 2 - 1  # rank ceil(count/2), 1-based
+        pivot = int(ranked[mid])
+        value = float(points[pivot, dim])
+        point.append(pivot)
+        split_dim.append(dim)
+        split_value.append(value)
+        rest = np.concatenate([ranked[:mid], ranked[mid + 1 :]])
+        rest_coords = points[rest, dim]
+        low = rest[rest_coords <= value]
+        high = rest[rest_coords > value]
+        # pushed right first, so the left subtree is numbered first
+        if len(high):
+            stack.append((high, node, right, level + 1))
+        if len(low):
+            stack.append((low, node, left, level + 1))
+    return (point, split_dim, split_value, left, right), depth
 
 
 def build(d: Dataset) -> KdTree:
     """Build the spatial index: max-variance split dimension, median split point."""
     return KdTree(d)
+
+
+def _lockstep_knn(
+    tree: KdTree, targets: np.ndarray, k: int, prune: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact k nearest neighbors of every point in ``targets``.
+
+    Returns ``(indices, distances, keys)``: two ``(len(targets), k)`` arrays,
+    each row ascending by (distance, index), and the int64 key
+    ``lo * n + hi`` of every pair evaluated, repeats included.
+
+    All queries advance together, one stack pop each per step.  A query's
+    pops are those of the depth-first search that visits the near child
+    first and then the far child only when ``not prune``, or fewer than k
+    candidates are kept, or the target-to-hyperplane distance is at most
+    the k-th best distance so far.  The far child is pushed with that plane
+    distance and tested when popped, which is when the depth-first search
+    tests it, after the near subtree; a near child is pushed with -inf.
+    Unfilled slots of a row hold the sentinel ``(inf, n)``, which every real
+    candidate beats.  Squared differences are summed dimension by dimension,
+    as in ``baseline.full_matrix``, so distances are bit-identical to it.
+    """
+    pts = tree.dataset.points
+    n, dim = pts.shape
+    m = len(targets)
+    point, split_dim, split_value = tree.point, tree.split_dim, tree.split_value
+    left, right = tree.left, tree.right
+    # Column m is a spare query with an empty stack; lanes beyond the live
+    # queries point at it.  A query never holds more than depth entries, so
+    # the two slots written above its stack after each pop always exist.
+    targets = np.append(targets, 0)
+    best_d = np.full((m + 1, k), np.inf)
+    best_i = np.full((m + 1, k), n, dtype=np.int64)
+    stack = np.zeros((tree.depth() + 2, m + 1), dtype=np.int64)  # one stack per column
+    bound = np.full((tree.depth() + 2, m + 1), -np.inf)  # what each entry is tested against
+    size = np.ones(m + 1, dtype=np.int64)
+    size[m] = 0
+    prev = np.maximum(np.arange(k) - 1, 0)
+    keys = np.empty(8 * m, dtype=np.int64)
+    n_keys = 0
+    lanes = _padded(np.arange(m), m, m)
+    while len(lanes):
+        top = size[lanes] - 1
+        node = stack[top, lanes]
+        worst = best_d[lanes, -1]
+        go = top >= 0
+        if prune:
+            go &= bound[top, lanes] <= worst
+        a = targets[lanes]
+        j = point[node]
+
+        visit = go & (j != a)
+        diff = pts[a] - pts[j]
+        diff *= diff
+        s = diff[:, 0].copy()
+        for h in range(1, dim):
+            s += diff[:, h]
+        d = np.sqrt(s)
+        count = np.count_nonzero(visit)
+        if n_keys + count > len(keys):
+            grown = np.empty(2 * (n_keys + count), dtype=np.int64)
+            grown[:n_keys] = keys[:n_keys]
+            keys = grown
+        pair = np.minimum(a, j)
+        pair *= n
+        pair += np.maximum(a, j)
+        np.compress(visit, pair, out=keys[n_keys : n_keys + count])
+        n_keys += count
+
+        better = visit & ((d < worst) | ((d == worst) & (j < best_i[lanes, -1])))
+        count = np.count_nonzero(better)
+        if count:
+            qi = _padded(lanes, count, m, better)
+            di = _padded(d, count, np.inf, better)
+            ji = _padded(j, count, n, better)
+            bd, bi = best_d[qi], best_i[qi]
+            before = (bd < di[:, None]) | ((bd == di[:, None]) & (bi < ji[:, None]))
+            at = before.sum(axis=1)
+            bd = np.where(before, bd, bd[:, prev])
+            bi = np.where(before, bi, bi[:, prev])
+            rows = np.arange(len(qi))
+            bd[rows, at] = di
+            bi[rows, at] = ji
+            best_d[qi] = bd
+            best_i[qi] = bi
+
+        dims = split_dim[node]
+        plane = pts[a, dims] - split_value[node]
+        below = plane <= 0.0
+        lo, hi = left[node], right[node]
+        near = np.where(below, lo, hi)
+        far = np.where(below, hi, lo)
+        # Both children are written above the popped stack, and the size
+        # grows only over those that exist for a lane that visited its node.
+        top = np.maximum(top, 0)  # the stack size after the pop
+        stack[top, lanes] = far
+        bound[top, lanes] = np.abs(plane)
+        top += go & (far >= 0)
+        stack[top, lanes] = near
+        bound[top, lanes] = -np.inf
+        top += go & (near >= 0)
+        size[lanes] = top
+        live = top > 0
+        lanes = _padded(lanes, np.count_nonzero(live), m, live)
+    return best_i[:m], best_d[:m], keys[:n_keys]
+
+
+def _padded(values: np.ndarray, count: int, fill, mask=None) -> np.ndarray:
+    """The ``count`` entries of ``values`` under ``mask`` (all when None),
+    padded with ``fill`` to the next power of two when ``count`` < 1024.
+
+    numpy keeps freed buffers under 1 KiB for reuse, up to seven per
+    distinct byte size; per-step arrays of every length below 1024 would
+    fill that cache with megabytes, power-of-two lengths leave it a few
+    kilobytes."""
+    count = width = int(count)
+    if 0 < count < 1024:
+        width = 1 << (count - 1).bit_length()
+    out = np.full(width, fill, dtype=values.dtype)
+    if mask is None:
+        out[:count] = values[:count]
+    else:
+        np.compress(mask, values, out=out[:count])
+    return out
+
+
+def _check_k(tree: KdTree, k: int) -> None:
+    n = tree.dataset.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+
+
+def _neighbor_sets(targets, indices, distances) -> list[NeighborSet]:
+    return [
+        NeighborSet(t, tuple(zip(i, d)))
+        for t, i, d in zip(targets.tolist(), indices.tolist(), distances.tolist())
+    ]
 
 
 def knn_query(
@@ -138,52 +295,17 @@ def knn_query(
     Distance ties are broken by ascending point index.  A subtree is skipped
     only when the target-to-splitting-hyperplane distance already exceeds the
     current k-th-best distance; ``prune=False`` always descends, which is a
-    verification hook and must return the identical result.
+    verification hook and must return the identical result.  The pairs
+    evaluated are recorded in ``cache`` when one is given.
     """
-    n = tree.dataset.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    if not 0 <= target < n:
+    _check_k(tree, k)
+    if not 0 <= target < tree.dataset.n:
         raise ValueError(f"target index {target} out of range")
-    if cache is None:
-        cache = SparseDistanceMatrix(tree.dataset.points)
-
-    coords = tree._coords[target]
-    distance = cache.distance
-    # Max-heap of the best k candidates: heap root is the worst kept
-    # (largest distance, then largest index), as (-distance, -index).
-    heap: list[tuple[float, int]] = []
-
-    def search(node):
-        idx = node.index
-        if idx != target:
-            d = distance(target, idx)
-            if len(heap) < k:
-                heapq.heappush(heap, (-d, -idx))
-            else:
-                worst_d, worst_i = heap[0]
-                if (d, idx) < (-worst_d, -worst_i):
-                    heapq.heapreplace(heap, (-d, -idx))
-        if node.dim < 0:
-            return
-        diff = coords[node.dim] - node.value
-        if diff <= 0.0:
-            near, far = node.left, node.right
-        else:
-            near, far = node.right, node.left
-        if near is not None:
-            search(near)
-        if far is not None and (
-            not prune
-            or len(heap) < k
-            or (diff if diff >= 0.0 else -diff) <= -heap[0][0]
-        ):
-            search(far)
-
-    search(tree.root)
-    del search  # breaks the closure's self-reference, so the cache is freed by refcount
-    found = sorted((-d, -i) for d, i in heap)
-    return NeighborSet(target, tuple((i, d) for d, i in found))
+    targets = np.array([target], dtype=np.int64)
+    indices, distances, keys = _lockstep_knn(tree, targets, k, prune)
+    if cache is not None:
+        cache.record(keys)
+    return _neighbor_sets(targets, indices, distances)[0]
 
 
 def knn_all(
@@ -191,34 +313,31 @@ def knn_all(
 ) -> tuple[list[NeighborSet], SparseDistanceMatrix]:
     """k nearest neighbors of every point, sharing one distance cache.
 
-    Queries run in point-index order; the final cache content is the union
-    of all evaluated pairs and does not depend on that order.
+    Each query evaluates the pairs :func:`knn_query` would; the cache holds
+    their union, each pair computed once.
     """
+    _check_k(tree, k)
+    targets = np.arange(tree.dataset.n)
+    indices, distances, keys = _lockstep_knn(tree, targets, k, prune)
     cache = SparseDistanceMatrix(tree.dataset.points, tree)
-    sets = [knn_query(tree, i, k, cache, prune) for i in range(tree.dataset.n)]
-    return sets, cache
+    cache.record(keys)
+    return _neighbor_sets(targets, indices, distances), cache
 
 
 def subtree_min_rank(tree: KdTree, rank: list[int]) -> list[int]:
-    """Smallest ``rank`` in the subtree under each node, indexed by the
-    node's point (each point owns exactly one node).  One O(n) pass."""
-    preorder = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        preorder.append(node)
-        if node.left is not None:
-            stack.append(node.left)
-        if node.right is not None:
-            stack.append(node.right)
-    low = list(rank)
-    for node in reversed(preorder):  # children before their parent
-        m = low[node.index]
-        if node.left is not None and low[node.left.index] < m:
-            m = low[node.left.index]
-        if node.right is not None and low[node.right.index] < m:
-            m = low[node.right.index]
-        low[node.index] = m
+    """Smallest ``rank`` of a point in the subtree under each node, indexed
+    by node.  One O(n) pass."""
+    point, _, _, left, right = tree._nodes
+    low = [rank[p] for p in point]
+    for v in range(len(low) - 1, -1, -1):  # preorder: children after their parent
+        m = low[v]
+        child = left[v]
+        if child >= 0 and low[child] < m:
+            m = low[child]
+        child = right[v]
+        if child >= 0 and low[child] < m:
+            m = low[child]
+        low[v] = m
     return low
 
 
@@ -239,29 +358,31 @@ def nearest_denser_query(
     evaluated through ``cache.distance(target, j)``.  Returns
     ``(inf, -1)`` when ``target`` has the smallest rank.
     """
+    point, split_dim, split_value, left, right = tree._nodes
     coords = tree._coords[target]
     distance = cache.distance
     r = rank[target]
     best_d, best_j = math.inf, -1
-    stack = [(tree.root, 0.0)]  # (node, lower bound on distances in its subtree)
+    stack = [(0, 0.0)]  # (node, lower bound on distances in its subtree)
     while stack:
-        node, bound = stack.pop()
-        if min_rank[node.index] >= r or bound > best_d:
+        v, bound = stack.pop()
+        if min_rank[v] >= r or bound > best_d:
             continue
-        idx = node.index
+        idx = point[v]
         if rank[idx] < r:
             d = distance(target, idx)
             if best_j < 0 or d < best_d or (d == best_d and idx < best_j):
                 best_d, best_j = d, idx
-        if node.dim < 0:
+        dim = split_dim[v]
+        if dim < 0:
             continue
-        diff = coords[node.dim] - node.value
+        diff = coords[dim] - split_value[v]
         if diff <= 0.0:
-            near, far = node.left, node.right
+            near, far = left[v], right[v]
         else:
-            near, far = node.right, node.left
-        if far is not None:
+            near, far = right[v], left[v]
+        if far >= 0:
             stack.append((far, -diff if diff <= 0.0 else diff))
-        if near is not None:
+        if near >= 0:
             stack.append((near, bound))
     return best_d, best_j

@@ -6,13 +6,21 @@ relative-separation pass (which reads it back and tops it up), and its
 evaluation counter is what the benchmark instrumentation reports.  A cache
 filled by :func:`sktdpc.kdtree.knn_all` also carries the tree it was filled
 from, so the separation pass can search that tree without rebuilding it.
+
+A pair ``(lo, hi)``, ``lo < hi``, is keyed by the int64 ``lo * n + hi``.
+The k-NN search hands its pairs over in bulk (:meth:`record`); they live in
+one sorted key array with a distance array beside it.  Pairs requested one
+at a time later (:meth:`distance`) go into a small dict.
 """
 
 from __future__ import annotations
 
+import threading
 from math import sqrt
 
 import numpy as np
+
+_CHUNK = 1 << 18  # pairs whose distances are computed together
 
 
 class SparseDistanceMatrix:
@@ -21,55 +29,120 @@ class SparseDistanceMatrix:
     ``distance(i, j)`` computes through the cache: a repeated request for a
     pair returns the stored value without recomputation, so the evaluation
     counter equals the number of distinct pairs ever computed.  ``tree`` is
-    the k-d tree over the same points, or None.
+    the k-d tree over the same points, or None.  Threads may share a cache:
+    writes are serialised by a lock.
     """
 
-    __slots__ = ("_points", "_store", "evaluations", "tree")
+    __slots__ = ("_points", "_columns", "_n", "_block", "_extra", "_lock", "tree")
 
     def __init__(self, points: np.ndarray, tree=None):
         pts = np.asarray(points, dtype=np.float64)
         self._points = [tuple(row) for row in pts.tolist()]
-        self._store: dict[tuple[int, int], float] = {}
-        self.evaluations = 0
+        self._columns = np.ascontiguousarray(pts.T)
+        self._n = pts.shape[0]
+        # sorted unique keys and their distances, replaced whole under _lock
+        self._block = (np.empty(0, dtype=np.int64), np.empty(0))
+        self._extra: dict[int, float] = {}
+        self._lock = threading.Lock()
         self.tree = tree
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._block[0]) + len(self._extra)
+
+    @property
+    def evaluations(self) -> int:
+        """Distinct pairs computed so far; each stored pair was computed once."""
+        return len(self)
+
+    def _key(self, i: int, j: int) -> int:
+        return i * self._n + j if i < j else j * self._n + i
+
+    def _lookup(self, key: int) -> float | None:
+        d = self._extra.get(key)
+        if d is None:
+            keys, dists = self._block
+            p = keys.searchsorted(key)
+            if p < len(keys) and keys.item(p) == key:
+                d = dists.item(p)
+        return d
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between points i and j, computed at most once."""
         if i == j:
             return 0.0
-        key = (i, j) if i < j else (j, i)
-        d = self._store.get(key)
+        key = self._key(i, j)
+        d = self._lookup(key)
         if d is None:
-            s = 0.0
-            for a, b in zip(self._points[i], self._points[j]):
-                t = a - b
-                s += t * t
-            d = sqrt(s)
-            self._store[key] = d
-            self.evaluations += 1
+            with self._lock:  # look again: another thread may have stored it
+                d = self._lookup(key)
+                if d is None:
+                    s = 0.0
+                    for a, b in zip(self._points[i], self._points[j]):
+                        t = a - b
+                        s += t * t
+                    d = sqrt(s)
+                    self._extra[key] = d
         return d
+
+    def record(self, keys: np.ndarray) -> None:
+        """Compute and store the distance of every pair in ``keys`` (int64
+        ``lo * n + hi``, any order, repeats allowed) not stored yet.
+        ``keys`` is sorted in place.
+
+        The squared differences are summed dimension by dimension, in the
+        order :meth:`distance` and ``baseline.full_matrix`` use, so each
+        value is bit-identical to theirs.
+        """
+        # sort plus a neighbour mask: np.unique is many times slower on
+        # millions of int64 keys
+        keys = np.asarray(keys, dtype=np.int64)
+        keys.sort()
+        if len(keys):
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        with self._lock:
+            old_keys, old_dists = self._block
+            if len(old_keys) and len(keys):
+                p = np.minimum(old_keys.searchsorted(keys), len(old_keys) - 1)
+                keys = keys[old_keys[p] != keys]
+            if self._extra and len(keys):
+                extra = np.array(list(self._extra), dtype=np.int64)
+                keys = keys[~np.isin(keys, extra)]
+            if not len(keys):
+                return
+            dists = np.zeros(len(keys))
+            for start in range(0, len(keys), _CHUNK):  # bounds the temporaries
+                lo, hi = np.divmod(keys[start : start + _CHUNK], self._n)
+                s = dists[start : start + _CHUNK]
+                for column in self._columns:
+                    t = column[lo] - column[hi]
+                    t *= t
+                    s += t
+                np.sqrt(s, out=s)
+            if len(old_keys):
+                p = old_keys.searchsorted(keys)
+                keys = np.insert(old_keys, p, keys)
+                dists = np.insert(old_dists, p, dists)
+            self._block = (keys, dists)
 
     def get(self, i: int, j: int) -> float | None:
         """Stored distance for (i, j), or None if never computed."""
         if i == j:
             return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self._store.get(key)
+        return self._lookup(self._key(i, j))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair
-        key = (i, j) if i < j else (j, i)
-        return key in self._store
+        return self._lookup(self._key(i, j)) is not None
 
     def pairs(self) -> set[tuple[int, int]]:
         """Snapshot of all stored (low, high) index pairs."""
-        return set(self._store)
+        lo, hi = np.divmod(self._block[0], self._n)
+        out = set(zip(lo.tolist(), hi.tolist()))
+        out.update(divmod(key, self._n) for key in list(self._extra))
+        return out
 
     def ratio(self) -> float:
         """Stored unique pairs as a fraction of the full n(n-1)/2 pair count."""
-        n = len(self._points)
+        n = self._n
         total = n * (n - 1) // 2
-        return len(self._store) / total if total else 1.0
+        return len(self) / total if total else 1.0

@@ -54,6 +54,15 @@ def test_cluster_internal_error_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: maximum recursion depth")
 
 
+def test_cluster_identical_points_exit_0(tmp_path, capsys):
+    """1500 identical points make a 1500-deep tree; nothing recurses."""
+    p = tmp_path / "same.txt"
+    p.write_text("0.5 0.5\n" * 1500)
+    labels_out = tmp_path / "labels.txt"
+    assert main(["cluster", str(p), "--k", "7", "--output", str(labels_out)]) == 0
+    assert len(labels_out.read_text().split()) == 1500
+
+
 def test_cluster_empty_file_exit_2(tmp_path, capsys):
     p = tmp_path / "empty.txt"
     p.write_text("")

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import adversarial, random_dataset
 from sktdpc import core
 from sktdpc.baseline import brute_separation, full_matrix, sktdpc_reference
 from sktdpc.dataset import Dataset
@@ -180,42 +179,8 @@ def test_separation_needs_the_knn_cache():
         core.relative_separation(density, order, sets, SparseDistanceMatrix(d.points))
 
 
-# Coordinates are multiples of 1/16 or of 1/10 in a small range, so squared
-# differences never underflow (the 2^+-600 scales are a separate, open defect).
-_coordinate = st.one_of(
-    st.integers(-3, 3).map(float),
-    st.integers(-800, 800).map(lambda v: v / 16),
-    st.integers(-800, 800).map(lambda v: v / 10),
-)
-
-
-@st.composite
-def _adversarial(draw):
-    """Small point sets that stress ties: duplicate-heavy, collinear or with
-    constant columns; n down to 2 and k up to n - 1."""
-    n = draw(st.one_of(st.integers(2, 3), st.integers(2, 60)))
-    dim = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["duplicates", "collinear", "constant-columns", "free"]))
-    if kind == "duplicates":
-        pool = draw(st.lists(st.lists(_coordinate, min_size=dim, max_size=dim),
-                             min_size=1, max_size=4))
-        pts = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
-    elif kind == "collinear":
-        t = np.array(draw(st.lists(_coordinate, min_size=n, max_size=n)))
-        direction = np.array(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
-        pts = t[:, None] * direction[None, :] + 1.0
-    else:
-        pts = np.array(draw(st.lists(st.lists(_coordinate, min_size=dim, max_size=dim),
-                                     min_size=n, max_size=n)))
-        if kind == "constant-columns":
-            constant = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-            pts[:, constant] = 0.5
-    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
-    return Dataset(pts.reshape(n, dim)), k
-
-
 @settings(max_examples=300, deadline=None)
-@given(_adversarial())
+@given(adversarial())
 def test_separation_equals_brute_force_on_adversarial_inputs(case):
     d, k = case
     sets, cache, density, order = _pipeline_to_separation(d, k)
@@ -394,3 +359,15 @@ def test_run_sktdpc_rejects_bad_k(two_blobs):
         core.run_sktdpc(two_blobs, 0)
     with pytest.raises(ValueError):
         core.run_sktdpc(two_blobs, 300)
+
+
+def test_run_sktdpc_identical_points_equals_reference():
+    """1500 coincident points: the tree is 1500 nodes deep (every tie goes
+    left), and no stage recurses."""
+    d = Dataset(np.full((1500, 2), 3.0))
+    fast = core.run_sktdpc(d, 7)
+    ref = sktdpc_reference(d, 7)
+    assert fast.centers == ref.centers
+    assert fast.mutation_point == ref.mutation_point
+    assert np.array_equal(fast.labels, ref.labels)
+    assert fast.flags == ref.flags

@@ -1,66 +1,70 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_dataset
+from conftest import adversarial, random_dataset
 from sktdpc.baseline import brute_knn, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
-from sktdpc.kdtree import build, knn_all, knn_query, nearest_denser_query, subtree_min_rank
+from sktdpc.kdtree import (
+    NeighborSet,
+    build,
+    knn_all,
+    knn_query,
+    nearest_denser_query,
+    subtree_min_rank,
+)
+from sktdpc import sparse
 from sktdpc.sparse import SparseDistanceMatrix
+
+
+def _subtree(tree, v):
+    """Nodes of the subtree under node v, by explicit stack."""
+    out, stack = [], [v]
+    while stack:
+        cur = stack.pop()
+        if cur < 0:
+            continue
+        out.append(cur)
+        stack.extend([int(tree.left[cur]), int(tree.right[cur])])
+    return out
 
 
 def test_build_three_collinear_points():
     d = Dataset(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
     tree = build(d)
-    assert tree.root.dim == 1  # variance 0 vs 2/3
-    assert tree.root.value == 1.0  # median of {0, 1, 2}
-    assert tree.root.index == 1
+    assert tree.split_dim[0] == 1  # variance 0 vs 2/3
+    assert tree.split_value[0] == 1.0  # median of {0, 1, 2}
+    assert tree.point[0] == 1
 
 
 def test_build_single_point():
     tree = build(Dataset(np.array([[5.0, 5.0]])))
-    assert tree.root.index == 0
-    assert tree.root.left is None and tree.root.right is None
+    assert tree.point[0] == 0
+    assert tree.left[0] == -1 and tree.right[0] == -1
     assert tree.depth() == 1
 
 
 def test_every_point_appears_exactly_once():
     d = random_dataset(1, n=73, dim=3)
     tree = build(d)
-    seen = []
-
-    def walk(node):
-        if node is None:
-            return
-        seen.append(node.index)
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
+    seen = [int(tree.point[v]) for v in _subtree(tree, 0)]
     assert sorted(seen) == list(range(73))
 
 
 def test_split_rule_left_le_right_gt():
     d = random_dataset(2, n=50, dim=2)
     tree = build(d)
-
-    def walk(node):
-        if node is None or node.dim < 0:
-            return
-        for side, cmp in ((node.left, lambda v: v <= node.value),
-                          (node.right, lambda v: v > node.value)):
-            stack = [side]
-            while stack:
-                cur = stack.pop()
-                if cur is None:
-                    continue
-                assert cmp(d.points[cur.index, node.dim])
-                stack.extend([cur.left, cur.right])
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
+    for v in _subtree(tree, 0):
+        dim, value = tree.split_dim[v], tree.split_value[v]
+        if dim < 0:
+            continue
+        for side, cmp in ((tree.left[v], lambda x: x <= value),
+                          (tree.right[v], lambda x: x > value)):
+            for cur in _subtree(tree, side):
+                assert cmp(d.points[tree.point[cur], dim])
 
 
 def test_depth_bound_on_uniform_points():
@@ -230,6 +234,34 @@ def test_concurrent_queries_share_cache():
     assert shared.pairs() == serial_cache.pairs()
 
 
+def test_cache_shared_by_threads_loses_no_pair():
+    """Bulk records from k-NN queries and single pairs from ``distance``
+    race on one cache under a short switch interval; nothing is lost or
+    counted twice."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    d = random_dataset(31, n=120, dim=2)
+    tree = build(d)
+    want_sets, want = knn_all(tree, 4)
+    late = [(i, (7 * i + 3) % d.n) for i in range(d.n)]
+    for i, j in late:
+        want.distance(i, j)
+    shared = SparseDistanceMatrix(d.points)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(knn_query, tree, i, 4, shared) for i in range(d.n)]
+            futures += [pool.submit(shared.distance, i, j) for i, j in late]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[: d.n] == want_sets
+    assert shared.pairs() == want.pairs()
+    assert shared.evaluations == want.evaluations == len(shared)
+
+
 def test_query_on_tight_cluster_field():
     d = generate_gaussian_blobs(
         np.random.default_rng(8).uniform(0, 50, size=(10, 2)),
@@ -279,3 +311,166 @@ def test_nearest_denser_query_matches_scan_with_ties(make):
             zero_tied += ties and want[0] == 0.0
     assert tied > 0
     assert (zero_tied > 0) == (make is _coincident)
+
+
+def reference_knn_query(tree, target, k, cache, prune=True):
+    """The recursive depth-first search the lockstep traversal replaced, kept
+    as its oracle: near child first, far child only when ``not prune``, or
+    fewer than k candidates are kept, or the plane is no farther than the
+    k-th best; one scalar ``cache.distance`` per visited node."""
+    point, split_dim, split_value, left, right = (
+        a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    )
+    coords = tree.dataset.points[target].tolist()
+    # Max-heap of the best k candidates: heap root is the worst kept
+    # (largest distance, then largest index), as (-distance, -index).
+    heap = []
+
+    def search(v):
+        idx = point[v]
+        if idx != target:
+            d = cache.distance(target, idx)
+            if len(heap) < k:
+                heapq.heappush(heap, (-d, -idx))
+            else:
+                worst_d, worst_i = heap[0]
+                if (d, idx) < (-worst_d, -worst_i):
+                    heapq.heapreplace(heap, (-d, -idx))
+        if split_dim[v] < 0:
+            return
+        diff = coords[split_dim[v]] - split_value[v]
+        if diff <= 0.0:
+            near, far = left[v], right[v]
+        else:
+            near, far = right[v], left[v]
+        if near >= 0:
+            search(near)
+        if far >= 0 and (
+            not prune
+            or len(heap) < k
+            or (diff if diff >= 0.0 else -diff) <= -heap[0][0]
+        ):
+            search(far)
+
+    search(0)
+    found = sorted((-d, -i) for d, i in heap)
+    return NeighborSet(target, tuple((i, d) for d, i in found))
+
+
+def _assert_knn_all_equals_reference(d, k):
+    """Neighbor sets, evaluated pair set, evaluation count and distance bits
+    of ``knn_all`` equal the recursive search's, pruned and unpruned."""
+    tree = build(d)
+    for prune in (True, False):
+        sets, cache = knn_all(tree, k, prune)
+        ref_cache = SparseDistanceMatrix(d.points)
+        want = [reference_knn_query(tree, i, k, ref_cache, prune) for i in range(d.n)]
+        assert sets == want
+        assert cache.pairs() == ref_cache.pairs()
+        assert cache.evaluations == ref_cache.evaluations == len(cache)
+        for i, j in ref_cache.pairs():
+            want_bits = np.float64(ref_cache.get(i, j)).tobytes()
+            assert np.float64(cache.get(i, j)).tobytes() == want_bits
+
+
+def _random(dim):
+    def make():
+        return Dataset(np.random.default_rng(40 + dim).normal(size=(90, dim)))
+
+    make.__name__ = f"random_{dim}d"
+    return make
+
+
+@pytest.mark.parametrize("k", [1, 7, "n-1"])
+@pytest.mark.parametrize(
+    "make", [_lattice, _coincident, _random(1), _random(2), _random(8)],
+    ids=lambda make: make.__name__,
+)
+def test_knn_all_equals_reference_search(make, k):
+    d = make()
+    _assert_knn_all_equals_reference(d, d.n - 1 if k == "n-1" else k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adversarial())
+def test_knn_all_equals_reference_search_on_adversarial_inputs(case):
+    _assert_knn_all_equals_reference(*case)
+
+
+def test_knn_query_equals_reference_search():
+    d = _coincident()
+    tree = build(d)
+    for prune in (True, False):
+        cache, ref_cache = SparseDistanceMatrix(d.points), SparseDistanceMatrix(d.points)
+        for i in range(d.n):
+            want = reference_knn_query(tree, i, 5, ref_cache, prune)
+            assert knn_query(tree, i, 5, cache, prune) == want
+            assert cache.pairs() == ref_cache.pairs()
+
+
+def test_identical_points_build_and_search_without_recursion():
+    d = Dataset(np.full((1500, 2), 0.25))
+    tree = build(d)
+    assert tree.depth() == 1500  # ties all go left (ROADMAP item 2)
+    assert len(tree.dump().splitlines()) == 1500
+    sets, cache = knn_all(tree, 7)
+    assert [ns.indices for ns in sets[:2]] == [(1, 2, 3, 4, 5, 6, 7), (0, 2, 3, 4, 5, 6, 7)]
+    assert all(ns.radius == 0.0 for ns in sets)
+    assert len(cache) == 1500 * 1499 // 2
+
+
+def test_cache_keys_at_large_n_do_not_overflow():
+    """Keys ``lo * n + hi`` pass 2**31 at n = 100 000; no int32 step may wrap."""
+    n = 100_000
+    cache = SparseDistanceMatrix(np.arange(n, dtype=float)[:, None])
+    pairs = {(n - 2, n - 1), (0, n - 1), (n - 3, n - 1), (1, 2)}
+    keys = np.array([lo * n + hi for lo, hi in pairs], dtype=np.int64)
+    assert keys.max() > np.iinfo(np.int32).max
+    cache.record(np.concatenate([keys, keys[::-1]]))
+    assert cache.pairs() == pairs
+    for lo, hi in pairs:
+        assert cache.get(hi, lo) == cache.get(lo, hi) == hi - lo
+        assert (hi, lo) in cache
+    assert cache.distance(n - 1, n - 4) == 3.0
+    assert cache.pairs() == pairs | {(n - 4, n - 1)}
+    assert len(cache) == cache.evaluations == 5
+    assert (n - 5, n - 1) not in cache and cache.get(n - 1, n - 5) is None
+
+
+def test_cache_record_matches_full_matrix_across_chunks():
+    """Every pair of 800 points, more than one chunk of distances, each
+    bit-identical to ``full_matrix``."""
+    d = random_dataset(32, n=800, dim=3)
+    lo, hi = np.triu_indices(d.n, 1)
+    assert len(lo) > sparse._CHUNK
+    cache = SparseDistanceMatrix(d.points)
+    cache.record((lo * d.n + hi)[::-1].copy())
+    got = np.array([cache.get(i, j) for i, j in zip(lo.tolist(), hi.tolist())])
+    assert got.tobytes() == full_matrix(d)[lo, hi].tobytes()
+    assert len(cache) == cache.evaluations == len(lo)
+
+
+def test_cache_bulk_and_late_pairs_agree(two_blobs):
+    """Pairs from the k-NN block and pairs added one at a time by
+    ``distance`` answer ``get``, ``in``, ``pairs()``, ``len`` and
+    ``evaluations`` alike."""
+    m = full_matrix(two_blobs)
+    _, cache = knn_all(build(two_blobs), 4)
+    bulk = cache.pairs()
+    assert len(cache) == cache.evaluations == len(bulk)
+    late = {(0, j) for j in range(1, two_blobs.n) if (0, j) not in bulk}
+    assert late
+    for i, j in sorted(late):
+        assert cache.get(i, j) is None and (j, i) not in cache
+        assert cache.distance(j, i) == m[i, j]
+    for i, j in sorted(bulk)[:50]:
+        assert cache.distance(j, i) == m[i, j]  # stored: not counted again
+    assert cache.pairs() == bulk | late
+    assert len(cache) == cache.evaluations == len(bulk) + len(late)
+    for i, j in cache.pairs():
+        assert cache.get(i, j) == cache.get(j, i) == m[i, j]
+        assert (i, j) in cache and (j, i) in cache
+    # a bulk record after late pairs stores only what is new
+    cache.record(np.array([0 * two_blobs.n + j for j in range(1, 40)], dtype=np.int64))
+    assert len(cache) == cache.evaluations == len(bulk) + len(late)
+
