@@ -2,8 +2,10 @@
 
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack with hyperplane pruning.  It is held
-as flat arrays in preorder and built with an explicit stack, so nothing here
-recurses, however deep the tree.
+as flat arrays in preorder and built level by level: one numpy pass splits
+every subtree of a depth together (Zhou, Hou, Wang & Guo, SIGGRAPH Asia
+2008), into the same tree, bit for bit, as one split per node would give.
+Nothing here recurses, however deep the tree.
 
 The k-NN search runs every query in lockstep: all queries walk the tree
 together, one stack pop each per step, with numpy vectors across the
@@ -66,12 +68,11 @@ class KdTree:
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self._coords = [tuple(row) for row in dataset.points.tolist()]
-        self._nodes, self._depth = _build(dataset.points)
-        arrays = [np.array(a) for a in self._nodes]
+        arrays, self._depth = _build(dataset.points)
         for a in arrays:
             a.setflags(write=False)
         self.point, self.split_dim, self.split_value, self.left, self.right = arrays
+        self._nodes = tuple(a.tolist() for a in arrays)
 
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path."""
@@ -96,49 +97,92 @@ class KdTree:
         return "\n".join(out)
 
 
-def _build(points: np.ndarray) -> tuple[tuple[list, ...], int]:
-    """Preorder node lists (point, split_dim, split_value, left, right) and depth."""
-    n = len(points)
-    point: list[int] = []
-    split_dim: list[int] = []
-    split_value: list[float] = []
-    left = [-1] * n
-    right = [-1] * n
+def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
+    """Preorder arrays (point, split_dim, split_value, left, right) and depth.
+
+    One pass per level splits every subtree of that depth.  The live points
+    form one permutation cut into contiguous segments, one per subtree, each
+    in ascending (coordinate, index) order of its parent's split dimension.
+    A segment splits on its maximum-variance dimension (ties: the lowest)
+    at its median-rank point; points tied with that point rank right after
+    it and go low with the points before it, so each child is a contiguous
+    run once the pivots are taken out.  The left child of node ``v`` is
+    ``v + 1`` and the right child ``v + 1 + |low|``.
+    """
+    n, dim = points.shape
+    point = np.empty(n, dtype=np.int64)
+    split_dim = np.full(n, -1, dtype=np.int64)
+    split_value = np.zeros(n)
+    left = np.full(n, -1, dtype=np.int64)
+    right = np.full(n, -1, dtype=np.int64)
+    perm = np.arange(n)
+    # start, size and preorder node number of each segment at this level
+    start = np.zeros(1, dtype=np.int64)
+    size = np.array([n])
+    node = np.zeros(1, dtype=np.int64)
     depth = 0
-    # (points of the subtree, parent node, the parent's child list, level)
-    stack = [(np.arange(n), -1, left, 1)]
-    while stack:
-        subset, parent, side, level = stack.pop()
-        node = len(point)
-        if parent >= 0:
-            side[parent] = node
-        depth = max(depth, level)
-        if len(subset) == 1:
-            point.append(int(subset[0]))
-            split_dim.append(-1)
-            split_value.append(0.0)
-            continue
-        variances = points[subset].var(axis=0)
-        dim = int(np.argmax(variances))  # ties: lowest dimension index
-        coords = points[subset, dim]
-        order = np.lexsort((subset, coords))
-        ranked = subset[order]
-        mid = (len(ranked) + 1) // 2 - 1  # rank ceil(count/2), 1-based
-        pivot = int(ranked[mid])
-        value = float(points[pivot, dim])
-        point.append(pivot)
-        split_dim.append(dim)
-        split_value.append(value)
-        rest = np.concatenate([ranked[:mid], ranked[mid + 1 :]])
-        rest_coords = points[rest, dim]
-        low = rest[rest_coords <= value]
-        high = rest[rest_coords > value]
-        # pushed right first, so the left subtree is numbered first
-        if len(high):
-            stack.append((high, node, right, level + 1))
-        if len(low):
-            stack.append((low, node, left, level + 1))
+    while len(size):
+        depth += 1
+        inner = size > 1
+        dims = np.zeros(len(size), dtype=np.int64)
+        if dim > 1 and inner.any():  # in one dimension there is nothing to choose
+            variances = _variances(points, perm, start[inner], size[inner])
+            dims[inner] = np.argmax(variances, axis=1)
+        seg = np.repeat(np.arange(len(size)), size)
+        coords = points[perm, dims[seg]]
+        order = np.lexsort((perm, coords, seg))
+        perm = perm[order]
+        coords = coords[order]
+        mid = start + (size + 1) // 2 - 1  # rank ceil(size/2), 1-based
+        value = coords[mid]
+        point[node] = perm[mid]
+        split_dim[node[inner]] = dims[inner]
+        split_value[node[inner]] = value[inner]
+        low = np.bincount(seg[coords <= value[seg]], minlength=len(size)) - 1
+        high = size - 1 - low
+        left[node[low > 0]] = node[low > 0] + 1
+        right[node[high > 0]] = (node + 1 + low)[high > 0]
+        keep = np.ones(len(perm), dtype=bool)
+        keep[mid] = False
+        perm = perm[keep]
+        base = start - np.arange(len(size))  # pivots of earlier segments are gone
+        start = np.column_stack((base, base + low)).ravel()
+        node = np.column_stack((node + 1, node + 1 + low)).ravel()
+        size = np.column_stack((low, high)).ravel()
+        live = size > 0
+        start, node, size = start[live], node[live], size[live]
     return (point, split_dim, split_value, left, right), depth
+
+
+def _variances(
+    points: np.ndarray, perm: np.ndarray, start: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """Per-dimension variance of each segment ``perm[start:start + size]``,
+    one row per segment, bit-equal to ``points[segment].var(axis=0)``.
+
+    ``var`` sums the rows of a segment down axis 0 one after another.  Here
+    the segments of one power-of-two length class sit side by side in a
+    zero-padded ``(length, segments * dim)`` block that is summed down axis
+    0 the same way; the padding adds +0.0 after a segment's rows, which
+    changes no variance.  (Segment sums by ``np.add.reduceat`` come out in
+    another order and other bits.)
+    """
+    dim = points.shape[1]
+    out = np.empty((len(size), dim))
+    length_class = np.frexp(size - 1.0)[1]  # 2**class >= size
+    for c in sorted(set(length_class.tolist())):
+        sel = np.flatnonzero(length_class == c)
+        rows = np.arange(1 << c)[:, None]
+        pad = rows >= size[sel]
+        block = points[perm[np.where(pad, 0, start[sel] + rows)]]
+        block[pad] = 0.0
+        block = block.reshape(len(rows), -1)
+        count = np.repeat(size[sel], dim)
+        block -= block.sum(axis=0) / count
+        block *= block
+        block.reshape(len(rows), len(sel), dim)[pad] = 0.0
+        out[sel] = (block.sum(axis=0) / count).reshape(len(sel), dim)
+    return out
 
 
 def build(d: Dataset) -> KdTree:
@@ -359,7 +403,7 @@ def nearest_denser_query(
     ``(inf, -1)`` when ``target`` has the smallest rank.
     """
     point, split_dim, split_value, left, right = tree._nodes
-    coords = tree._coords[target]
+    coords = tree.dataset.points[target].tolist()
     distance = cache.distance
     r = rank[target]
     best_d, best_j = math.inf, -1

@@ -124,32 +124,31 @@ def nmi(t: ContingencyTable) -> float:
 
 
 def _expected_mutual_information(t: ContingencyTable) -> float:
-    """Exact expectation of mutual information under the hypergeometric model."""
+    """Exact expectation of mutual information under the hypergeometric model.
+
+    ``lg[x]`` is ``gammaln(x)``.  The terms of every (row, column) pair are
+    one array, in the order of the scalar triple loop (rows, then columns,
+    then ``nij`` ascending), each computed with the operands in that loop's
+    order; ``np.cumsum`` adds them to 0.0 one at a time, in order, so the
+    result keeps the loop's bits (``np.sum`` would add them pairwise).
+    """
     n = t.n
-    a = t.row_sums
-    b = t.col_sums
-    log_n_fact = gammaln(n + 1)
-    emi = 0.0
-    for ai in a:
-        ai = int(ai)
-        for bj in b:
-            bj = int(bj)
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            for nij in range(lo, hi + 1):
-                log_prob = (
-                    gammaln(ai + 1)
-                    + gammaln(bj + 1)
-                    + gammaln(n - ai + 1)
-                    + gammaln(n - bj + 1)
-                    - log_n_fact
-                    - gammaln(nij + 1)
-                    - gammaln(ai - nij + 1)
-                    - gammaln(bj - nij + 1)
-                    - gammaln(n - ai - bj + nij + 1)
-                )
-                emi += (nij / n) * (np.log(n * nij) - np.log(ai * bj)) * np.exp(log_prob)
-    return float(emi)
+    lg = gammaln(np.arange(n + 2.0))
+    ai, bj = (a.ravel() for a in np.meshgrid(t.row_sums, t.col_sums, indexing="ij"))
+    lo = np.maximum(1, ai + bj - n)
+    count = np.maximum(np.minimum(ai, bj) - lo + 1, 0)  # none when ai or bj is 0
+    first = np.cumsum(count) - count
+    nij = np.arange(count.sum()) + np.repeat(lo - first, count)
+    ai, bj = np.repeat(ai, count), np.repeat(bj, count)
+    log_prob = (
+        lg[ai + 1] + lg[bj + 1] + lg[n - ai + 1] + lg[n - bj + 1] - lg[n + 1]
+        - lg[nij + 1]
+        - lg[ai - nij + 1]
+        - lg[bj - nij + 1]
+        - lg[n - ai - bj + nij + 1]
+    )
+    term = (nij / n) * (np.log(n * nij) - np.log(ai * bj)) * np.exp(log_prob)
+    return float(np.cumsum(np.concatenate(([0.0], term)))[-1])
 
 
 def ami(t: ContingencyTable) -> float:

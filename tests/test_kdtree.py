@@ -1,4 +1,6 @@
+import ast
 import heapq
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from conftest import adversarial, random_dataset
 from sktdpc.baseline import brute_knn, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
+from sktdpc import kdtree
 from sktdpc.kdtree import (
     NeighborSet,
     build,
@@ -474,3 +477,166 @@ def test_cache_bulk_and_late_pairs_agree(two_blobs):
     cache.record(np.array([0 * two_blobs.n + j for j in range(1, 40)], dtype=np.int64))
     assert len(cache) == cache.evaluations == len(bulk) + len(late)
 
+
+
+def reference_build(points, subsets=None):
+    """The per-node stack build the level-by-level build replaced, kept as its
+    oracle: preorder lists (point, split_dim, split_value, left, right) and
+    depth.  Each internal node's points, in the row order its variance is
+    taken in, are appended to ``subsets`` when one is given."""
+    n = len(points)
+    point, split_dim, split_value = [], [], []
+    left = [-1] * n
+    right = [-1] * n
+    depth = 0
+    # (points of the subtree, parent node, the parent's child list, level)
+    stack = [(np.arange(n), -1, left, 1)]
+    while stack:
+        subset, parent, side, level = stack.pop()
+        node = len(point)
+        if parent >= 0:
+            side[parent] = node
+        depth = max(depth, level)
+        if len(subset) == 1:
+            point.append(int(subset[0]))
+            split_dim.append(-1)
+            split_value.append(0.0)
+            continue
+        if subsets is not None:
+            subsets.append(subset)
+        dim = int(np.argmax(points[subset].var(axis=0)))  # ties: lowest dimension
+        order = np.lexsort((subset, points[subset, dim]))
+        ranked = subset[order]
+        mid = (len(ranked) + 1) // 2 - 1  # rank ceil(count/2), 1-based
+        pivot = int(ranked[mid])
+        value = float(points[pivot, dim])
+        point.append(pivot)
+        split_dim.append(dim)
+        split_value.append(value)
+        rest = np.concatenate([ranked[:mid], ranked[mid + 1 :]])
+        rest_coords = points[rest, dim]
+        low = rest[rest_coords <= value]
+        high = rest[rest_coords > value]
+        # pushed right first, so the left subtree is numbered first
+        if len(high):
+            stack.append((high, node, right, level + 1))
+        if len(low):
+            stack.append((low, node, left, level + 1))
+    return (point, split_dim, split_value, left, right), depth
+
+
+def _assert_build_equals_reference(points):
+    tree = build(Dataset(points))
+    want, depth = reference_build(points)
+    got = (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    for g, w in zip(got, want):
+        w = np.array(w)
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert tree.depth() == depth
+
+
+def _named(name, make):
+    make.__name__ = name
+    return make
+
+
+def _ties(dim):
+    """Integer data with many equal coordinates and equal variances."""
+    return _named(
+        f"ties_{dim}d",
+        lambda: np.random.default_rng(60 + dim).integers(0, 4, size=(120, dim)).astype(float),
+    )
+
+
+def _witness():
+    """Tie-heavy 300x3 integer data on which segment sums taken by
+    ``np.add.reduceat`` pick another split dimension somewhere."""
+    return np.random.default_rng(0).integers(0, 6, size=(300, 3)).astype(float)
+
+
+def _scaled(exponent):
+    """Gaussian and integer rows scaled by a power of two: squares overflow
+    to inf at 2^600 and underflow to 0 at 2^-600."""
+
+    def make():
+        rng = np.random.default_rng(70)
+        return np.vstack([rng.normal(size=(150, 3)), rng.integers(0, 3, size=(50, 3))]) * 2.0**exponent
+
+    return _named(f"scaled_2^{exponent}", make)
+
+
+def _fixed(name, rows):
+    return _named(name, lambda: np.array(rows, dtype=float))
+
+
+_lattice_points = _named("lattice", lambda: _lattice().points)
+_BUILD_CASES = [
+    _lattice_points,
+    *(_ties(dim) for dim in range(1, 9)),
+    _witness,
+    _named("identical_1500x2", lambda: np.full((1500, 2), 0.25)),
+    _named("identical_40x3", lambda: np.full((40, 3), -1.5)),
+    _fixed("two_equal", [[0.0, 0.0], [0.0, 0.0]]),
+    _fixed("two", [[1.0, 2.0], [3.0, 4.0]]),
+    _fixed("three_1d", [[0.0], [1.0], [0.0]]),
+    _fixed("three_3d", [[0.5, 0.0, 2.0], [0.5, 1.0, 2.0], [0.5, 1.0, -2.0]]),
+    _scaled(600),
+    _scaled(-600),
+]
+
+
+@pytest.mark.parametrize("make", _BUILD_CASES, ids=lambda make: make.__name__)
+def test_build_equals_reference_build(make):
+    _assert_build_equals_reference(make())
+
+
+@settings(max_examples=200, deadline=None)
+@given(adversarial())
+def test_build_equals_reference_build_on_adversarial_inputs(case):
+    _assert_build_equals_reference(case[0].points)
+
+
+@pytest.mark.parametrize(
+    "make", [_lattice_points, _ties(2), _ties(8), _witness, _scaled(600), _scaled(-600)],
+    ids=lambda make: make.__name__,
+)
+def test_blocked_variances_equal_numpy_var_at_every_internal_node(make):
+    points = make()
+    subsets = []
+    reference_build(points, subsets)
+    size = np.array([len(s) for s in subsets])
+    got = kdtree._variances(points, np.concatenate(subsets), np.cumsum(size) - size, size)
+    want = np.array([points[s].var(axis=0) for s in subsets])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_reduceat_variances_change_the_witness_tree(monkeypatch):
+    """The witness tells row-order sums from ``np.add.reduceat`` ones: with
+    the latter the build no longer equals the reference."""
+
+    def reduceat_variances(points, perm, start, size):
+        rows = points[np.concatenate([perm[a : a + m] for a, m in zip(start, size)])]
+        offsets = np.cumsum(size) - size
+        count = size[:, None]
+        mean = np.add.reduceat(rows, offsets, axis=0) / count
+        rows -= np.repeat(mean, size, axis=0)
+        return np.add.reduceat(rows * rows, offsets, axis=0) / count
+
+    points = _witness()
+    monkeypatch.setattr(kdtree, "_variances", reduceat_variances)
+    with pytest.raises(AssertionError):
+        _assert_build_equals_reference(points)
+
+
+def test_build_has_no_recursion():
+    """Nothing in ``kdtree`` calls itself: the build, dump and searches all
+    keep explicit state, so depth is bounded by memory, not the stack."""
+    source = ast.parse(inspect.getsource(kdtree))
+    for fn in ast.walk(source):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {
+                c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+                for c in ast.walk(fn) if isinstance(c, ast.Call)
+            }
+            assert fn.name not in called, fn.name

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from sktdpc.metrics import (
     ContingencyTable,
+    _expected_mutual_information,
     acc,
     ami,
     ari,
@@ -143,3 +145,50 @@ def test_cross_check_against_sklearn(seed):
         abs=1e-9,
     )
     assert fmi(t) == pytest.approx(sklearn_metrics.fowlkes_mallows_score(truth, pred), abs=1e-9)
+
+
+def reference_expected_mutual_information(t):
+    """The scalar triple loop the table-driven sum replaced, kept as its
+    oracle: nine ``gammaln`` calls per term, terms added in order."""
+    n = t.n
+    log_n_fact = gammaln(n + 1)
+    emi = 0.0
+    for ai in t.row_sums.tolist():
+        for bj in t.col_sums.tolist():
+            for nij in range(max(1, ai + bj - n), min(ai, bj) + 1):
+                log_prob = (
+                    gammaln(ai + 1)
+                    + gammaln(bj + 1)
+                    + gammaln(n - ai + 1)
+                    + gammaln(n - bj + 1)
+                    - log_n_fact
+                    - gammaln(nij + 1)
+                    - gammaln(ai - nij + 1)
+                    - gammaln(bj - nij + 1)
+                    - gammaln(n - ai - bj + nij + 1)
+                )
+                emi += (nij / n) * (np.log(n * nij) - np.log(ai * bj)) * np.exp(log_prob)
+    return float(emi)
+
+
+def _emi_tables():
+    rng = np.random.default_rng(9)
+    tables = [
+        [[1]],  # n = 1
+        [[5, 0, 3]],  # a single class
+        [[4], [2], [7]],  # a single cluster
+        [[3, 1, 0, 2, 5], [0, 4, 1, 1, 0]],  # more clusters than classes
+        [[0, 0], [0, 9]],
+    ]
+    for _ in range(100):
+        rows, cols = rng.integers(1, 8, size=2)
+        counts = rng.integers(0, int(rng.choice([2, 10, 60])), size=(rows, cols))
+        counts[0, 0] += 1
+        tables.append(counts)
+    return tables
+
+
+def test_expected_mutual_information_equals_scalar_loop():
+    for counts in _emi_tables():
+        t = ContingencyTable(np.array(counts))
+        assert _expected_mutual_information(t) == reference_expected_mutual_information(t), counts
