@@ -116,13 +116,8 @@ def relative_separation(
 
     for r, i in enumerate(int(x) for x in density_order):
         if r == 0:
-            far = 0.0
-            for j in range(n):
-                if j != i:
-                    d = cache.distance(i, j)
-                    if d > far:
-                        far = d
-            separation[i] = far
+            others = np.flatnonzero(np.arange(n) != i)
+            separation[i] = cache.distances(i, others).max(initial=0.0)
             continue
         for j, d in neighbor_sets[i].neighbors:
             if rank[j] < r:

@@ -10,8 +10,11 @@ Nothing here recurses, however deep the tree.
 The k-NN search runs every query in lockstep: all queries walk the tree
 together, one stack pop each per step, with numpy vectors across the
 queries.  Each query still pops exactly the nodes a depth-first search of
-its own would (Friedman, Bentley & Finkel, ACM TOMS 1977).  Every pair
-evaluated on the way is recorded in a shared
+its own would (Friedman, Bentley & Finkel, ACM TOMS 1977).  A query's
+state lives in one lane of dense arrays, which a step reads without
+gathering, in about 40 numpy calls whatever the dimension; the live lanes
+move to narrower arrays once half have finished.  Every pair evaluated on
+the way is recorded in a shared
 :class:`~sktdpc.sparse.SparseDistanceMatrix`, which downstream stages reuse.
 
 The nearest-denser query finds, for one point, the closest point of smaller
@@ -206,112 +209,144 @@ def _lockstep_knn(
     the k-th best distance so far.  The far child is pushed with that plane
     distance and tested when popped, which is when the depth-first search
     tests it, after the near subtree; a near child is pushed with -inf.
-    Unfilled slots of a row hold the sentinel ``(inf, n)``, which every real
-    candidate beats.  Squared differences are summed dimension by dimension,
-    as in ``baseline.full_matrix``, so distances are bit-identical to it.
+    Squared differences are summed dimension by dimension, as in
+    ``baseline.full_matrix``, so distances are bit-identical to it.
+
+    Each query runs in a lane, and every lane array is in lane order, so a
+    step reads its state without gathering.  A lane's stack is a run of
+    ``depth + 2`` slots in one flat array.  Its last slot is never written
+    and holds the bound NaN, which fails every test: an empty lane reads
+    the slot just below its own stack, the last slot of the lane before it
+    (of the last lane, for lane 0), and pops nothing.  Once at most half
+    the lanes are live, the live ones move to the front of narrower arrays,
+    padded with finished ones to a width from :func:`_width`.
+
+    A candidate is the complex number ``distance + index * 1j``: numpy
+    orders complex numbers by real part, then imaginary part, which is the
+    (distance, index) order, and indices below 2**53 are exact.  A lane's
+    row is -inf, its k best candidates in order, and the candidate of this
+    step.  Merging that in sets each column c in 1..k to
+    ``min(max(row[c - 1], candidate), row[c])``; a candidate that ranks
+    after the k-th, ties included, changes nothing.  Unfilled columns hold
+    the sentinel ``(inf, n)``, which every real candidate beats.
     """
     pts = tree.dataset.points
-    n, dim = pts.shape
+    n = len(pts)
     m = len(targets)
-    point, split_dim, split_value = tree.point, tree.split_dim, tree.split_value
-    left, right = tree.left, tree.right
-    # Column m is a spare query with an empty stack; lanes beyond the live
-    # queries point at it.  A query never holds more than depth entries, so
-    # the two slots written above its stack after each pop always exist.
-    targets = np.append(targets, 0)
-    best_d = np.full((m + 1, k), np.inf)
-    best_i = np.full((m + 1, k), n, dtype=np.int64)
-    stack = np.zeros((tree.depth() + 2, m + 1), dtype=np.int64)  # one stack per column
-    bound = np.full((tree.depth() + 2, m + 1), -np.inf)  # what each entry is tested against
-    size = np.ones(m + 1, dtype=np.int64)
-    size[m] = 0
-    prev = np.maximum(np.arange(k) - 1, 0)
+    # one record per node, read by one take: its point, split dimension,
+    # children and point times n
+    record = np.stack((tree.point, tree.split_dim, tree.left, tree.right, tree.point * n))
+    coords = np.ascontiguousarray(pts[tree.point].T)  # by dimension, then node
+    slots = tree.depth() + 2
+    # row m takes the lanes that pad the first width
+    indices = np.empty((m + 1, k), dtype=np.int64)
+    distances = np.empty((m + 1, k))
     keys = np.empty(8 * m, dtype=np.int64)
     n_keys = 0
-    lanes = _padded(np.arange(m), m, m)
-    while len(lanes):
-        top = size[lanes] - 1
-        node = stack[top, lanes]
-        worst = best_d[lanes, -1]
-        go = top >= 0
-        if prune:
-            go &= bound[top, lanes] <= worst
-        a = targets[lanes]
-        j = point[node]
 
-        visit = go & (j != a)
-        diff = pts[a] - pts[j]
-        diff *= diff
-        s = diff[:, 0].copy()
-        for h in range(1, dim):
-            s += diff[:, h]
-        d = np.sqrt(s)
-        count = np.count_nonzero(visit)
-        if n_keys + count > len(keys):
-            grown = np.empty(2 * (n_keys + count), dtype=np.int64)
-            grown[:n_keys] = keys[:n_keys]
-            keys = grown
-        pair = np.minimum(a, j)
-        pair *= n
-        pair += np.maximum(a, j)
-        np.compress(visit, pair, out=keys[n_keys : n_keys + count])
-        n_keys += count
+    width = _width(m)
+    row = np.minimum(np.arange(width), m)
+    point = np.zeros(width, dtype=np.int64)
+    point[:m] = targets
+    target = np.ascontiguousarray(pts[point].T)
+    stack = np.zeros(width * slots, dtype=np.int64)  # the root is node 0
+    bound = np.full(width * slots, np.nan)
+    bound[: m * slots : slots] = -np.inf
+    height = np.where(row < m, 0, -1)  # slot of each lane's top entry
+    best = np.full((width + 1, k + 2), complex(np.inf, n))  # row width pads
+    best[:, 0] = -np.inf
+    while True:  # one pass per width
+        lane = np.arange(width)
+        base = lane * slots
+        top = base + height
+        point_n = point * n
+        worst = best.real[:width, k]
+        d, index = best.real[:width, k + 1], best.imag[:width, k + 1]
+        scratch = np.full(width, width)  # pads insertion batches
+        while True:
+            node = stack[top]
+            go = bound[top] <= worst
+            rec = record.take(node, axis=1)
+            j, dims, children = rec[0], rec[1], rec[2:4]
+            visit = j != point
+            visit &= go
+            diff = coords.take(node, axis=1)
+            diff -= target
+            dims *= width  # flat index of the split coordinate; a leaf's
+            dims += lane  # -1 reads the last row, and its plane goes unused
+            plane = diff.take(dims)  # split value minus target coordinate
+            diff *= diff
+            np.sqrt(diff.sum(axis=0), out=d)
+            index[...] = j
 
-        better = visit & ((d < worst) | ((d == worst) & (j < best_i[lanes, -1])))
-        count = np.count_nonzero(better)
-        if count:
-            qi = _padded(lanes, count, m, better)
-            di = _padded(d, count, np.inf, better)
-            ji = _padded(j, count, n, better)
-            bd, bi = best_d[qi], best_i[qi]
-            before = (bd < di[:, None]) | ((bd == di[:, None]) & (bi < ji[:, None]))
-            at = before.sum(axis=1)
-            bd = np.where(before, bd, bd[:, prev])
-            bi = np.where(before, bi, bi[:, prev])
-            rows = np.arange(len(qi))
-            bd[rows, at] = di
-            bi[rows, at] = ji
-            best_d[qi] = bd
-            best_i[qi] = bi
+            pair = point_n + j  # lo * n + hi is the smaller of the two
+            np.minimum(pair, rec[4] + point, out=pair)
+            pair = pair.compress(visit)
+            count = len(pair)
+            if n_keys + count > len(keys):
+                grown = np.empty(2 * (n_keys + count), dtype=np.int64)
+                grown[:n_keys] = keys[:n_keys]
+                keys = grown
+            keys[n_keys : n_keys + count] = pair
+            n_keys += count
 
-        dims = split_dim[node]
-        plane = pts[a, dims] - split_value[node]
-        below = plane <= 0.0
-        lo, hi = left[node], right[node]
-        near = np.where(below, lo, hi)
-        far = np.where(below, hi, lo)
-        # Both children are written above the popped stack, and the size
-        # grows only over those that exist for a lane that visited its node.
-        top = np.maximum(top, 0)  # the stack size after the pop
-        stack[top, lanes] = far
-        bound[top, lanes] = np.abs(plane)
-        top += go & (far >= 0)
-        stack[top, lanes] = near
-        bound[top, lanes] = -np.inf
-        top += go & (near >= 0)
-        size[lanes] = top
-        live = top > 0
-        lanes = _padded(lanes, np.count_nonzero(live), m, live)
-    return best_i[:m], best_d[:m], keys[:n_keys]
+            better = d <= worst
+            better &= visit
+            (better,) = better.nonzero()
+            count = len(better)
+            if count:
+                at = scratch[: _width(count)].copy()
+                at[:count] = better
+                kept = best.take(at, axis=0)
+                high = np.maximum(kept[:, :k], kept[:, k + 1 :])
+                np.minimum(high, kept[:, 1 : k + 1], out=kept[:, 1 : k + 1])
+                best[at] = kept
+
+            near_far = np.where(plane >= 0.0, children, children[::-1])  # (near, far)
+            exists = near_far >= 0
+            exists &= go
+            # Both children are written from the popped slot up (slot 0 for
+            # an empty lane), and the stack grows only over those that exist
+            # for a lane that visited its node.
+            at = np.maximum(top, base)
+            stack[at] = near_far[1]
+            bound[at] = np.abs(plane) if prune else -np.inf
+            at += exists[1]
+            stack[at] = near_far[0]
+            bound[at] = -np.inf
+            at += exists[0]
+            at -= 1
+            top = at
+            live = np.count_nonzero(top >= base)
+            if not live or 2 * _width(live) <= width:
+                break
+        # final for every lane that has finished
+        indices[row] = best.imag[:width, 1 : k + 1]
+        distances[row] = best.real[:width, 1 : k + 1]
+        if not live:
+            break
+        # live lanes first, then finished ones to pad the narrower width
+        keep = np.argsort(top < base, kind="stable")[: _width(live)]
+        row, point, target = row[keep], point[keep], target[:, keep]
+        stack = stack.reshape(width, slots)[keep].ravel()
+        bound = bound.reshape(width, slots)[keep].ravel()
+        best = best[np.append(keep, width)]
+        height = (top - base)[keep]
+        width = len(keep)
+    return indices[:m], distances[:m], keys[:n_keys]
 
 
-def _padded(values: np.ndarray, count: int, fill, mask=None) -> np.ndarray:
-    """The ``count`` entries of ``values`` under ``mask`` (all when None),
-    padded with ``fill`` to the next power of two when ``count`` < 1024.
+def _width(count: int) -> int:
+    """Length of the arrays for ``count`` lanes or rows: ``count`` from 1024
+    up, else the next power of two, and at least 2.
 
     numpy keeps freed buffers under 1 KiB for reuse, up to seven per
     distinct byte size; per-step arrays of every length below 1024 would
     fill that cache with megabytes, power-of-two lengths leave it a few
-    kilobytes."""
-    count = width = int(count)
-    if 0 < count < 1024:
-        width = 1 << (count - 1).bit_length()
-    out = np.full(width, fill, dtype=values.dtype)
-    if mask is None:
-        out[:count] = values[:count]
-    else:
-        np.compress(mask, values, out=out[:count])
-    return out
+    kilobytes.  A ``(dim, 1)`` block would be summed over its dimensions
+    along the fast axis, which numpy does pairwise, in another order."""
+    count = int(count)
+    return count if count >= 1024 else max(2, 1 << (count - 1).bit_length())
 
 
 def _check_k(tree: KdTree, k: int) -> None:

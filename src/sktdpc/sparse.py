@@ -9,8 +9,9 @@ from, so the separation pass can search that tree without rebuilding it.
 
 A pair ``(lo, hi)``, ``lo < hi``, is keyed by the int64 ``lo * n + hi``.
 The k-NN search hands its pairs over in bulk (:meth:`record`); they live in
-one sorted key array with a distance array beside it.  Pairs requested one
-at a time later (:meth:`distance`) go into a small dict.
+one sorted key array with a distance array beside it.  Pairs requested
+later, one at a time (:meth:`distance`) or all of one point's at once
+(:meth:`distances`), go into a dict.
 """
 
 from __future__ import annotations
@@ -83,6 +84,47 @@ class SparseDistanceMatrix:
                     d = sqrt(s)
                     self._extra[key] = d
         return d
+
+    def distances(self, i: int, js: np.ndarray) -> np.ndarray:
+        """Euclidean distances from point i to each of the distinct points
+        ``js``, each pair computed at most once: the vector twin of
+        :meth:`distance`.
+
+        Stored pairs are read from the key block and the dict; the missing
+        ones are computed together, dimension by dimension in the order of
+        :meth:`record`, and go into the dict.
+        """
+        js = np.asarray(js, dtype=np.int64)
+        n = self._n
+        keys = np.where(js < i, js * n + i, i * n + js)
+        out = np.zeros(len(js))
+        with self._lock:
+            rest = np.flatnonzero(js != i)  # a point is at 0.0 from itself
+            for stored_keys, stored in (self._block, self._extra_arrays()):
+                if len(stored_keys) and len(rest):
+                    p = stored_keys.searchsorted(keys[rest])
+                    p = np.minimum(p, len(stored_keys) - 1)
+                    hit = stored_keys[p] == keys[rest]
+                    out[rest[hit]] = stored[p[hit]]
+                    rest = rest[~hit]
+            if len(rest):
+                others = js[rest]
+                s = np.zeros(len(rest))
+                for column in self._columns:
+                    t = column[i] - column[others]
+                    t *= t
+                    s += t
+                np.sqrt(s, out=s)
+                out[rest] = s
+                self._extra.update(zip(keys[rest].tolist(), s.tolist()))
+        return out
+
+    def _extra_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dict's keys, sorted, and their distances."""
+        keys = np.fromiter(self._extra, dtype=np.int64, count=len(self._extra))
+        dists = np.fromiter(self._extra.values(), dtype=float, count=len(self._extra))
+        order = keys.argsort()
+        return keys[order], dists[order]
 
     def record(self, keys: np.ndarray) -> None:
         """Compute and store the distance of every pair in ``keys`` (int64

@@ -116,6 +116,19 @@ def test_oracle_equivalence_random_shapes(seed):
         assert knn_query(tree, i, k) == brute_knn(m, i, k)
 
 
+@pytest.mark.parametrize("dim", [8, 11, 16])
+def test_single_query_distance_bits_in_many_dimensions(dim):
+    """One query is one lane; its squared differences are still summed
+    dimension by dimension, as ``full_matrix`` sums them (numpy's own sum
+    along a contiguous axis adds pairwise from 8 terms up, in other bits)."""
+    rng = np.random.default_rng(dim)
+    d = Dataset(rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-3, 3, size=(40, dim)))
+    tree = build(d)
+    m = full_matrix(d)
+    for i in range(d.n):
+        assert knn_query(tree, i, 5) == brute_knn(m, i, 5)
+
+
 def test_pruning_soundness():
     d = random_dataset(5, n=200, dim=3)
     tree = build(d)
@@ -360,11 +373,11 @@ def reference_knn_query(tree, target, k, cache, prune=True):
     return NeighborSet(target, tuple((i, d) for d, i in found))
 
 
-def _assert_knn_all_equals_reference(d, k):
+def _assert_knn_all_equals_reference(d, k, prunes=(True, False)):
     """Neighbor sets, evaluated pair set, evaluation count and distance bits
-    of ``knn_all`` equal the recursive search's, pruned and unpruned."""
+    of ``knn_all`` equal the recursive search's, for each of ``prunes``."""
     tree = build(d)
-    for prune in (True, False):
+    for prune in prunes:
         sets, cache = knn_all(tree, k, prune)
         ref_cache = SparseDistanceMatrix(d.points)
         want = [reference_knn_query(tree, i, k, ref_cache, prune) for i in range(d.n)]
@@ -392,6 +405,16 @@ def _random(dim):
 def test_knn_all_equals_reference_search(make, k):
     d = make()
     _assert_knn_all_equals_reference(d, d.n - 1 if k == "n-1" else k)
+
+
+def test_knn_all_equals_reference_search_beyond_1024_lanes():
+    """1100 queries start in lanes that are not padded to a power of two
+    and are moved to narrower arrays several times, down to a few lanes."""
+    grid = np.stack(np.meshgrid(np.arange(11), np.arange(10), np.arange(10)), -1)
+    points = grid.reshape(-1, 3).astype(float)
+    d = Dataset(points[np.random.default_rng(11).permutation(len(points))])
+    assert d.n > 1024
+    _assert_knn_all_equals_reference(d, 7, prunes=(True,))
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,6 +499,31 @@ def test_cache_bulk_and_late_pairs_agree(two_blobs):
     # a bulk record after late pairs stores only what is new
     cache.record(np.array([0 * two_blobs.n + j for j in range(1, 40)], dtype=np.int64))
     assert len(cache) == cache.evaluations == len(bulk) + len(late)
+
+
+@pytest.mark.parametrize("i", [0, 17, 59])
+def test_cache_distances_equal_repeated_distance(two_blobs, i):
+    """``distances(i, js)`` gives the bits, the stored pairs and the
+    evaluation count of one ``distance(i, j)`` per j, on a cache holding k-NN
+    pairs in its block and late pairs, of i and of others, in its dict."""
+    tree = build(two_blobs)
+    caches = [knn_all(tree, 4)[1] for _ in range(2)]
+    rng = np.random.default_rng(i)
+    late = [(int(a), int(b)) for a, b in rng.integers(0, two_blobs.n, (40, 2))]
+    late += [(i, int(j)) for j in rng.integers(0, two_blobs.n, 15)]
+    for cache in caches:
+        for a, b in late:
+            cache.distance(a, b)
+    assert caches[0]._extra and caches[0].pairs() == caches[1].pairs()
+    js = rng.permutation(two_blobs.n)  # i itself included
+    got = caches[0].distances(i, js)
+    want = np.array([caches[1].distance(i, int(j)) for j in js])
+    assert got.tobytes() == want.tobytes()
+    assert caches[0].pairs() == caches[1].pairs()
+    assert caches[0].evaluations == caches[1].evaluations == len(caches[0])
+    assert caches[0].distances(i, js[:0]).shape == (0,)
+    assert caches[0].distances(i, js).tobytes() == got.tobytes()  # all stored now
+    assert caches[0].evaluations == caches[1].evaluations
 
 
 
