@@ -1,7 +1,6 @@
 """Density peaks clustering with k-d tree acceleration and sparse separation search."""
 
 from .baseline import (
-    brute_knn,
     brute_knn_all,
     cutoff_distance,
     dpc_original,
@@ -18,7 +17,7 @@ from .dataset import (
     pca_reduce,
     save,
 )
-from .kdtree import KdTree, NeighborSet, build, knn_all, knn_query
+from .kdtree import KdTree, build, knn_all
 from .metrics import ContingencyTable, acc, ami, ari, contingency, fmi, nmi, score_all
 from .sparse import SparseDistanceMatrix
 
@@ -30,13 +29,11 @@ __all__ = [
     "Dataset",
     "DpcProfile",
     "KdTree",
-    "NeighborSet",
     "ParseError",
     "SparseDistanceMatrix",
     "acc",
     "ami",
     "ari",
-    "brute_knn",
     "brute_knn_all",
     "build",
     "contingency",
@@ -46,7 +43,6 @@ __all__ = [
     "full_matrix",
     "generate_gaussian_blobs",
     "knn_all",
-    "knn_query",
     "load",
     "nmi",
     "normalize",

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .dataset import Dataset
-from .kdtree import NeighborSet
+from .kdtree import _records
 
 
 def full_matrix(d: Dataset) -> np.ndarray:
@@ -31,22 +31,23 @@ def full_matrix(d: Dataset) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def brute_knn(m: np.ndarray, i: int, k: int) -> NeighborSet:
-    """Exact k nearest neighbors of point i by scanning row i of the matrix.
+def brute_knn_all(m: np.ndarray, k: int) -> np.recarray:
+    """Exact k nearest neighbors of every point by one stable argsort of the
+    matrix rows, as :func:`sktdpc.kdtree.knn_all` returns them.
 
     Same tie rule as the tree search: equal distances order by ascending
-    point index.
+    point index.  A point is at 0.0 from itself, but coincident points of
+    lower index sort before it, so it may fall past the k-th column: the
+    first k + 1 columns hold the k nearest others either way.
     """
     n = m.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    order = np.argsort(m[i], kind="stable")
-    picked = [int(j) for j in order if j != i][:k]
-    return NeighborSet(i, tuple((j, float(m[i, j])) for j in picked))
-
-
-def brute_knn_all(m: np.ndarray, k: int) -> list[NeighborSet]:
-    return [brute_knn(m, i, k) for i in range(m.shape[0])]
+    order = np.argsort(m, axis=1, kind="stable")[:, : k + 1]
+    keep = order != np.arange(n)[:, None]
+    keep[:, k] = ~keep[:, :k].all(axis=1)  # drop the point itself, else the (k+1)-th
+    indices = order[keep].reshape(n, k)
+    return _records(indices, np.take_along_axis(m, indices, axis=1))
 
 
 def brute_separation(
@@ -147,8 +148,8 @@ def sktdpc_reference(d: Dataset, k: int, n_centers: int | None = None) -> core.C
     params = core._checked_params(d, k, n_centers)
     timings: dict[str, float] = {}
     m = core._timed(timings, "matrix", full_matrix, d)
-    neighbor_sets = core._timed(timings, "knn", brute_knn_all, m, k)
-    density, density_order = core._timed(timings, "density", core.local_density, neighbor_sets)
+    neighbors = core._timed(timings, "knn", brute_knn_all, m, k)
+    density, density_order = core._timed(timings, "density", core.local_density, neighbors)
     separation, nearest_denser = core._timed(
         timings, "separation", brute_separation, m, density_order
     )

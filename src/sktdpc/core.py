@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .kdtree import NeighborSet, build, knn_all, nearest_denser_query, subtree_min_rank
+from .kdtree import build, knn_all, nearest_denser_query, subtree_min_rank
 from .sparse import SparseDistanceMatrix
 
 
@@ -72,61 +72,62 @@ def _descending_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(values)), -values))
 
 
-def local_density(neighbor_sets: Sequence[NeighborSet]) -> tuple[np.ndarray, np.ndarray]:
+def local_density(neighbors: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     """Local density of every point: reciprocal of its summed k-NN distances.
 
-    A point whose k nearest neighbors are all coincident with it gets an
-    infinite-density sentinel and sorts first.
+    ``neighbors.distances`` is the (n, k) array :func:`~sktdpc.kdtree.knn_all`
+    returns; its columns are added left to right, starting from 0.0, the
+    order of a scalar loop along each row.  A point whose k nearest
+    neighbors are all coincident with it gets an infinite-density sentinel
+    and sorts first.
     """
-    n = len(neighbor_sets)
-    density = np.empty(n)
-    for ns in neighbor_sets:
-        total = 0.0
-        for _, d in ns.neighbors:
-            total += d
-        density[ns.owner] = 1.0 / total if total > 0.0 else np.inf
+    total = np.zeros(len(neighbors))
+    for column in neighbors.distances.T:
+        total += column
+    density = np.full(len(total), np.inf)
+    np.divide(1.0, total, out=density, where=total > 0.0)
     return density, _descending_order(density)
 
 
 def relative_separation(
     density: np.ndarray,
     density_order: np.ndarray,
-    neighbor_sets: Sequence[NeighborSet],
+    neighbors: np.recarray,
     cache: SparseDistanceMatrix,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point to its nearest denser point, found sparsely.
 
     For the densest point the separation is its distance to the farthest
     point.  For any other point, if some k-nearest neighbor is denser, the
-    answer is already cached and no new distance is computed.  Otherwise
-    (a fallback point) an exact nearest-denser query runs on the k-d tree
-    the cache was filled from (``cache.tree``, set by
+    first such neighbor is the answer and no new distance is computed: that
+    is the first True of ``rank[indices] < rank[:, None]`` along its row.
+    Otherwise (a fallback point) an exact nearest-denser query runs on the
+    k-d tree the cache was filled from (``cache.tree``, set by
     :func:`~sktdpc.kdtree.knn_all`), pruning subtrees with no denser point;
     the paper scans every denser point here instead, and the query's pairs
-    are a subset of that scan's.  Ties break on ascending index.
+    are a subset of that scan's.  Fallback points run in density order, and
+    ties break on ascending index.
     """
     tree = cache.tree
     if tree is None:
         raise ValueError("relative_separation needs the cache returned by knn_all")
     n = len(density)
-    rank = np.argsort(density_order).tolist()  # inverse of the density order
-    min_rank = None  # per-subtree minimum rank, built for the first fallback point
-    separation = np.empty(n)
-    nearest_denser = np.full(n, -1, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)  # inverse of the density order
+    rank[density_order] = np.arange(n)
+    denser = rank[neighbors.indices] < rank[:, None]
+    hit = denser.any(axis=1)
+    first = denser.argmax(axis=1)
+    rows = np.arange(n)
+    separation = neighbors.distances[rows, first]
+    nearest_denser = np.where(hit, neighbors.indices[rows, first], -1)
 
-    for r, i in enumerate(int(x) for x in density_order):
-        if r == 0:
-            others = np.flatnonzero(np.arange(n) != i)
-            separation[i] = cache.distances(i, others).max(initial=0.0)
-            continue
-        for j, d in neighbor_sets[i].neighbors:
-            if rank[j] < r:
-                separation[i] = d
-                nearest_denser[i] = j
-                break
-        else:
-            if min_rank is None:
-                min_rank = subtree_min_rank(tree, rank)
+    densest = int(density_order[0])
+    separation[densest] = cache.distances(densest, np.flatnonzero(rows != densest)).max(initial=0.0)
+    fallback = density_order[1:][~hit[density_order[1:]]]
+    if len(fallback):
+        rank = rank.tolist()  # the scalar query reads a list faster
+        min_rank = subtree_min_rank(tree, rank)
+        for i in fallback.tolist():
             separation[i], nearest_denser[i] = nearest_denser_query(
                 tree, i, rank, min_rank, cache
             )
@@ -331,10 +332,10 @@ def run_sktdpc(d: Dataset, k: int, n_centers: int | None = None) -> ClusteringRe
     params = _checked_params(d, k, n_centers)
     timings: dict[str, float] = {}
     tree = _timed(timings, "build", build, d)
-    neighbor_sets, cache = _timed(timings, "knn", knn_all, tree, k)
-    density, density_order = _timed(timings, "density", local_density, neighbor_sets)
+    neighbors, cache = _timed(timings, "knn", knn_all, tree, k)
+    density, density_order = _timed(timings, "density", local_density, neighbors)
     separation, nearest_denser = _timed(
-        timings, "separation", relative_separation, density, density_order, neighbor_sets, cache
+        timings, "separation", relative_separation, density, density_order, neighbors, cache
     )
     return _finish(
         d, params, "sktdpc", timings, density, density_order, separation,

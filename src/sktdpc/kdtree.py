@@ -13,9 +13,10 @@ queries.  Each query still pops exactly the nodes a depth-first search of
 its own would (Friedman, Bentley & Finkel, ACM TOMS 1977).  A query's
 state lives in one lane of dense arrays, which a step reads without
 gathering, in about 40 numpy calls whatever the dimension; the live lanes
-move to narrower arrays once half have finished.  Every pair evaluated on
-the way is recorded in a shared
-:class:`~sktdpc.sparse.SparseDistanceMatrix`, which downstream stages reuse.
+move to narrower arrays once half have finished.  The neighbours come back
+as one record array whose ``indices`` and ``distances`` fields are (n, k)
+arrays, and the keys of every pair evaluated on the way build the
+:class:`~sktdpc.sparse.SparseDistanceMatrix` that downstream stages reuse.
 
 The nearest-denser query finds, for one point, the closest point of smaller
 density rank.  Besides the hyperplane bound it skips every subtree whose
@@ -26,37 +27,11 @@ as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD 2021).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .sparse import SparseDistanceMatrix
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """The exact k nearest neighbors of one point, ascending by (distance, index)."""
-
-    owner: int
-    neighbors: tuple[tuple[int, float], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.neighbors)
-
-    @property
-    def radius(self) -> float:
-        """Distance to the k-th nearest neighbor."""
-        return self.neighbors[-1][1]
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.neighbors)
-
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self.neighbors)
 
 
 class KdTree:
@@ -355,52 +330,30 @@ def _check_k(tree: KdTree, k: int) -> None:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
 
 
-def _neighbor_sets(targets, indices, distances) -> list[NeighborSet]:
-    return [
-        NeighborSet(t, tuple(zip(i, d)))
-        for t, i, d in zip(targets.tolist(), indices.tolist(), distances.tolist())
-    ]
+def _records(indices: np.ndarray, distances: np.ndarray) -> np.recarray:
+    """One record per row of two ``(n, k)`` arrays: fields ``indices``
+    (int64) and ``distances`` (float64), each read back as an (n, k) array."""
+    k = indices.shape[1]
+    return np.rec.fromarrays(
+        (indices, distances), dtype=[("indices", np.int64, (k,)), ("distances", np.float64, (k,))]
+    )
 
 
-def knn_query(
-    tree: KdTree,
-    target: int,
-    k: int,
-    cache: SparseDistanceMatrix | None = None,
-    prune: bool = True,
-) -> NeighborSet:
-    """Exact k nearest neighbors of a point already in the tree (self excluded).
+def knn_all(tree: KdTree, k: int, prune: bool = True) -> tuple[np.recarray, SparseDistanceMatrix]:
+    """Exact k nearest neighbors of every point (self excluded), and the
+    distance cache of every pair evaluated on the way.
 
-    Distance ties are broken by ascending point index.  A subtree is skipped
-    only when the target-to-splitting-hyperplane distance already exceeds the
-    current k-th-best distance; ``prune=False`` always descends, which is a
-    verification hook and must return the identical result.  The pairs
-    evaluated are recorded in ``cache`` when one is given.
+    The neighbors are n records; their ``indices`` and ``distances`` fields
+    are (n, k) arrays, row i ascending by (distance, index), so distance
+    ties go to the lower point index.  A subtree is skipped only when the
+    target-to-splitting-hyperplane distance already exceeds the current
+    k-th-best distance; ``prune=False`` always descends, a verification
+    hook that must return the identical neighbors.  The cache holds the
+    union of the pairs the queries evaluated, each computed once.
     """
     _check_k(tree, k)
-    if not 0 <= target < tree.dataset.n:
-        raise ValueError(f"target index {target} out of range")
-    targets = np.array([target], dtype=np.int64)
-    indices, distances, keys = _lockstep_knn(tree, targets, k, prune)
-    if cache is not None:
-        cache.record(keys)
-    return _neighbor_sets(targets, indices, distances)[0]
-
-
-def knn_all(
-    tree: KdTree, k: int, prune: bool = True
-) -> tuple[list[NeighborSet], SparseDistanceMatrix]:
-    """k nearest neighbors of every point, sharing one distance cache.
-
-    Each query evaluates the pairs :func:`knn_query` would; the cache holds
-    their union, each pair computed once.
-    """
-    _check_k(tree, k)
-    targets = np.arange(tree.dataset.n)
-    indices, distances, keys = _lockstep_knn(tree, targets, k, prune)
-    cache = SparseDistanceMatrix(tree.dataset.points, tree)
-    cache.record(keys)
-    return _neighbor_sets(targets, indices, distances), cache
+    indices, distances, keys = _lockstep_knn(tree, np.arange(tree.dataset.n), k, prune)
+    return _records(indices, distances), SparseDistanceMatrix(tree.dataset.points, tree, keys)
 
 
 def subtree_min_rank(tree: KdTree, rank: list[int]) -> list[int]:

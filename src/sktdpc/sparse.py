@@ -8,10 +8,10 @@ filled by :func:`sktdpc.kdtree.knn_all` also carries the tree it was filled
 from, so the separation pass can search that tree without rebuilding it.
 
 A pair ``(lo, hi)``, ``lo < hi``, is keyed by the int64 ``lo * n + hi``.
-The k-NN search hands its pairs over in bulk (:meth:`record`); they live in
-one sorted key array with a distance array beside it.  Pairs requested
-later, one at a time (:meth:`distance`) or all of one point's at once
-(:meth:`distances`), go into a dict.
+The k-NN search hands its pairs to the constructor in bulk; they live in
+one sorted key array with a distance array beside it, set once and never
+merged into.  Pairs requested later, one at a time (:meth:`distance`) or
+all of one point's at once (:meth:`distances`), go into a dict.
 """
 
 from __future__ import annotations
@@ -36,13 +36,35 @@ class SparseDistanceMatrix:
 
     __slots__ = ("_points", "_columns", "_n", "_block", "_extra", "_lock", "tree")
 
-    def __init__(self, points: np.ndarray, tree=None):
+    def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
+        """A cache over ``points`` holding the distance of every pair in
+        ``keys`` (int64 ``lo * n + hi``, any order, repeats allowed; sorted
+        in place).
+
+        The squared differences are summed dimension by dimension, in the
+        order :meth:`distance` and ``baseline.full_matrix`` use, so each
+        value is bit-identical to theirs.
+        """
         pts = np.asarray(points, dtype=np.float64)
         self._points = [tuple(row) for row in pts.tolist()]
         self._columns = np.ascontiguousarray(pts.T)
         self._n = pts.shape[0]
-        # sorted unique keys and their distances, replaced whole under _lock
-        self._block = (np.empty(0, dtype=np.int64), np.empty(0))
+        # sort plus a neighbour mask: np.unique is many times slower on
+        # millions of int64 keys
+        keys = np.asarray(() if keys is None else keys, dtype=np.int64)
+        keys.sort()
+        if len(keys):
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        dists = np.zeros(len(keys))
+        for start in range(0, len(keys), _CHUNK):  # bounds the temporaries
+            lo, hi = np.divmod(keys[start : start + _CHUNK], self._n)
+            s = dists[start : start + _CHUNK]
+            for column in self._columns:
+                t = column[lo] - column[hi]
+                t *= t
+                s += t
+            np.sqrt(s, out=s)
+        self._block = (keys, dists)  # sorted unique keys and their distances
         self._extra: dict[int, float] = {}
         self._lock = threading.Lock()
         self.tree = tree
@@ -91,8 +113,8 @@ class SparseDistanceMatrix:
         :meth:`distance`.
 
         Stored pairs are read from the key block and the dict; the missing
-        ones are computed together, dimension by dimension in the order of
-        :meth:`record`, and go into the dict.
+        ones are computed together, dimension by dimension as the
+        constructor computes the block, and go into the dict.
         """
         js = np.asarray(js, dtype=np.int64)
         n = self._n
@@ -125,46 +147,6 @@ class SparseDistanceMatrix:
         dists = np.fromiter(self._extra.values(), dtype=float, count=len(self._extra))
         order = keys.argsort()
         return keys[order], dists[order]
-
-    def record(self, keys: np.ndarray) -> None:
-        """Compute and store the distance of every pair in ``keys`` (int64
-        ``lo * n + hi``, any order, repeats allowed) not stored yet.
-        ``keys`` is sorted in place.
-
-        The squared differences are summed dimension by dimension, in the
-        order :meth:`distance` and ``baseline.full_matrix`` use, so each
-        value is bit-identical to theirs.
-        """
-        # sort plus a neighbour mask: np.unique is many times slower on
-        # millions of int64 keys
-        keys = np.asarray(keys, dtype=np.int64)
-        keys.sort()
-        if len(keys):
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        with self._lock:
-            old_keys, old_dists = self._block
-            if len(old_keys) and len(keys):
-                p = np.minimum(old_keys.searchsorted(keys), len(old_keys) - 1)
-                keys = keys[old_keys[p] != keys]
-            if self._extra and len(keys):
-                extra = np.array(list(self._extra), dtype=np.int64)
-                keys = keys[~np.isin(keys, extra)]
-            if not len(keys):
-                return
-            dists = np.zeros(len(keys))
-            for start in range(0, len(keys), _CHUNK):  # bounds the temporaries
-                lo, hi = np.divmod(keys[start : start + _CHUNK], self._n)
-                s = dists[start : start + _CHUNK]
-                for column in self._columns:
-                    t = column[lo] - column[hi]
-                    t *= t
-                    s += t
-                np.sqrt(s, out=s)
-            if len(old_keys):
-                p = old_keys.searchsorted(keys)
-                keys = np.insert(old_keys, p, keys)
-                dists = np.insert(old_dists, p, dists)
-            self._block = (keys, dists)
 
     def get(self, i: int, j: int) -> float | None:
         """Stored distance for (i, j), or None if never computed."""

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_dataset
 from sktdpc import core, registry
 from sktdpc.baseline import (
-    brute_knn,
+    brute_knn_all,
     cutoff_distance,
     dpc_original,
     full_matrix,
@@ -38,12 +38,19 @@ def test_full_matrix_symmetric_and_triangle():
 
 def test_brute_knn_examples():
     m = full_matrix(Dataset(np.array([[0.0], [2.0], [5.0]])))
-    assert brute_knn(m, 0, 1).neighbors == ((1, 2.0),)
-    assert brute_knn(m, 1, 2).indices == (0, 2)
+    neighbors = brute_knn_all(m, 1)
+    assert neighbors.indices.tolist() == [[1], [0], [1]]
+    assert neighbors.distances.tolist() == [[2.0], [2.0], [3.0]]
+    assert brute_knn_all(m, 2).indices[1].tolist() == [0, 2]
     with pytest.raises(ValueError):
-        brute_knn(m, 0, 3)
+        brute_knn_all(m, 3)
     with pytest.raises(ValueError):
-        brute_knn(m, 0, 0)
+        brute_knn_all(m, 0)
+    # coincident points of lower index sort before a point's own zero, so
+    # the point itself may lie past the k-th column of its sorted row
+    m = full_matrix(Dataset(np.array([[1.0], [1.0], [1.0], [1.0], [3.0]])))
+    assert brute_knn_all(m, 2).indices.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
+    assert brute_knn_all(m, 4).indices[4].tolist() == [0, 1, 2, 3]
 
 
 def test_dpc_density_collinear():

@@ -8,22 +8,51 @@ from conftest import adversarial, random_dataset
 from sktdpc import core
 from sktdpc.baseline import brute_separation, full_matrix, sktdpc_reference
 from sktdpc.dataset import Dataset
-from sktdpc.kdtree import NeighborSet, build, knn_all
+from sktdpc.kdtree import _records, build, knn_all
 from sktdpc.sparse import SparseDistanceMatrix
 
 
+def scalar_local_density(distances):
+    """The per-point loop the column sums replaced, kept as their oracle:
+    each row's distances added left to right, starting from 0.0."""
+    density = np.empty(len(distances))
+    for i, row in enumerate(distances.tolist()):
+        total = 0.0
+        for d in row:
+            total += d
+        density[i] = 1.0 / total if total > 0.0 else np.inf
+    return density
+
+
 def test_local_density_direct():
-    sets = [NeighborSet(0, ((1, 1.0), (2, 3.0))), NeighborSet(1, ((0, 1.0), (2, 2.0))),
-            NeighborSet(2, ((1, 2.0), (0, 3.0)))]
-    density, order = core.local_density(sets)
-    assert density[0] == 0.25
+    indices = np.array([[1, 2], [0, 2], [1, 0]])
+    neighbors = _records(indices, np.array([[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]]))
+    density, order = core.local_density(neighbors)
+    assert density.tolist() == [0.25, 1 / 3, 0.2]
+    assert order.tolist() == [1, 0, 2]
 
 
 def test_local_density_symmetric_pair_tie_break():
-    sets = [NeighborSet(0, ((1, 2.0),)), NeighborSet(1, ((0, 2.0),))]
-    density, order = core.local_density(sets)
+    neighbors = _records(np.array([[1], [0]]), np.array([[2.0], [2.0]]))
+    density, order = core.local_density(neighbors)
     assert density.tolist() == [0.5, 0.5]
     assert order.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("k", [8, 16, 40])
+def test_local_density_bits_equal_the_scalar_loop(k):
+    """Distances spread over 24 orders of magnitude, and rows of zeros: the
+    column sums give the scalar loop's bits.  numpy's own row sum adds
+    pairwise from 8 terms up, in other bits on over a third of these rows."""
+    rng = np.random.default_rng(k)
+    distances = np.sort(rng.uniform(1.0, 2.0, (400, k)) * 10.0 ** rng.uniform(-12, 12, (400, k)))
+    distances[::50] = 0.0
+    indices = np.tile(np.arange(1, k + 1), (400, 1))
+    density, order = core.local_density(_records(indices, distances))
+    want = scalar_local_density(distances)
+    assert density.tobytes() == want.tobytes()
+    assert order.tolist() == core._descending_order(want).tolist()
+    assert np.isinf(density[::50]).all()
 
 
 def test_local_density_against_brute_force(two_blobs):
@@ -62,7 +91,7 @@ def test_separation_intersection_branch_zero_cost():
     separation, nearest_denser = core.relative_separation(density, order, sets, cache)
     top = int(order[0])
     assert nearest_denser[second] == top
-    assert separation[second] == dict(sets[second].neighbors)[top]
+    assert separation[second] == sets.distances[second][sets.indices[second] == top][0]
 
 
 def test_separation_densest_point_takes_farthest_distance():
@@ -85,7 +114,7 @@ def test_separation_fig1_structure(fig1_fixture):
     rank[order] = np.arange(d.n)
     expected_fallback = {int(order[0])}
     for i in range(d.n):
-        if rank[i] > 0 and not any(rank[j] < rank[i] for j, _ in sets[i].neighbors):
+        if rank[i] > 0 and not (rank[sets.indices[i]] < rank[i]).any():
             expected_fallback.add(i)
     assert expected_fallback == {3, 10, 12}
     assert int(order[0]) == 12
@@ -130,7 +159,7 @@ def test_separation_tree_query_evaluates_a_twentieth_of_the_scan():
     for r, i in enumerate(int(x) for x in order):
         if r == 0:
             scan |= {(min(i, j), max(i, j)) for j in range(d.n) if j != i}
-        elif not any(rank[j] < r for j in sets[i].indices):
+        elif not (rank[sets.indices[i]] < r).any():
             scan |= {(min(i, int(j)), max(i, int(j))) for j in order[:r]}
     known = cache.pairs()
     scan -= known

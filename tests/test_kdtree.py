@@ -8,19 +8,23 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import adversarial, random_dataset
-from sktdpc.baseline import brute_knn, full_matrix
+from sktdpc.baseline import brute_knn_all, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
 from sktdpc import kdtree
-from sktdpc.kdtree import (
-    NeighborSet,
-    build,
-    knn_all,
-    knn_query,
-    nearest_denser_query,
-    subtree_min_rank,
-)
+from sktdpc.kdtree import build, knn_all, nearest_denser_query, subtree_min_rank
 from sktdpc import sparse
 from sktdpc.sparse import SparseDistanceMatrix
+
+
+def _assert_same_neighbors(got, want):
+    """Neighbor indices equal, and distances equal bit for bit."""
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.distances.tobytes() == want.distances.tobytes()
+
+
+def _assert_knn_all_equals_brute_force(d, k):
+    _assert_same_neighbors(knn_all(build(d), k)[0], brute_knn_all(full_matrix(d), k))
 
 
 def _subtree(tree, v):
@@ -79,85 +83,79 @@ def test_depth_bound_on_uniform_points():
 
 def test_two_point_query():
     d = Dataset(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    tree = build(d)
-    ns = knn_query(tree, 0, 1)
-    assert ns.neighbors == ((1, 5.0),)
-    assert ns.radius == 5.0
+    neighbors, _ = knn_all(build(d), 1)
+    assert neighbors.indices.tolist() == [[1], [0]]
+    assert neighbors.distances.tolist() == [[5.0], [5.0]]
 
 
 def test_exhaustive_k():
     d = random_dataset(3, n=20, dim=2)
-    tree = build(d)
-    m = full_matrix(d)
-    for i in range(d.n):
-        ns = knn_query(tree, i, d.n - 1)
-        assert ns.k == d.n - 1
-        assert list(ns.distances) == sorted(ns.distances)
-        assert ns == brute_knn(m, i, d.n - 1)
+    neighbors, _ = knn_all(build(d), d.n - 1)
+    assert neighbors.indices.shape == neighbors.distances.shape == (d.n, d.n - 1)
+    assert (np.diff(neighbors.distances, axis=1) >= 0.0).all()
+    _assert_knn_all_equals_brute_force(d, d.n - 1)
 
 
 def test_oracle_equivalence_500_points_5d():
-    d = random_dataset(77, n=500, dim=5)
-    tree = build(d)
-    m = full_matrix(d)
-    cache = SparseDistanceMatrix(d.points)
-    for i in range(d.n):
-        assert knn_query(tree, i, 7, cache) == brute_knn(m, i, 7)
+    _assert_knn_all_equals_brute_force(random_dataset(77, n=500, dim=5), 7)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_oracle_equivalence_random_shapes(seed):
     d = random_dataset(seed + 100)
     k = int(np.random.default_rng(seed).integers(1, 21))
-    k = min(k, d.n - 1)
-    tree = build(d)
-    m = full_matrix(d)
-    for i in range(d.n):
-        assert knn_query(tree, i, k) == brute_knn(m, i, k)
+    _assert_knn_all_equals_brute_force(d, min(k, d.n - 1))
 
 
 @pytest.mark.parametrize("dim", [8, 11, 16])
 def test_single_query_distance_bits_in_many_dimensions(dim):
-    """One query is one lane; its squared differences are still summed
-    dimension by dimension, as ``full_matrix`` sums them (numpy's own sum
-    along a contiguous axis adds pairwise from 8 terms up, in other bits)."""
+    """One query is one lane, in arrays of width 2; its squared differences
+    are still summed dimension by dimension, as ``full_matrix`` sums them
+    (numpy's own sum along a contiguous axis adds pairwise from 8 terms up,
+    in other bits), and it evaluates the pairs of the recursive search."""
     rng = np.random.default_rng(dim)
     d = Dataset(rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-3, 3, size=(40, dim)))
     tree = build(d)
-    m = full_matrix(d)
+    want = brute_knn_all(full_matrix(d), 5)
     for i in range(d.n):
-        assert knn_query(tree, i, 5) == brute_knn(m, i, 5)
+        indices, distances, keys = kdtree._lockstep_knn(tree, np.array([i]), 5, True)
+        assert indices.tolist() == want.indices[i : i + 1].tolist()
+        assert distances.tobytes() == want.distances[i : i + 1].tobytes()
+        ref_cache = SparseDistanceMatrix(d.points)
+        reference_knn_query(tree, i, 5, ref_cache)
+        assert set(zip(*np.divmod(keys, d.n))) == ref_cache.pairs()
+        assert len(keys) == ref_cache.evaluations
 
 
 def test_pruning_soundness():
-    d = random_dataset(5, n=200, dim=3)
-    tree = build(d)
-    for i in range(0, d.n, 7):
-        assert knn_query(tree, i, 9, prune=True) == knn_query(tree, i, 9, prune=False)
+    tree = build(random_dataset(5, n=200, dim=3))
+    _assert_same_neighbors(knn_all(tree, 9, prune=True)[0], knn_all(tree, 9, prune=False)[0])
 
 
 def test_duplicate_points_are_neighbors_at_zero():
-    pts = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [9.0, 9.0]])
-    tree = build(Dataset(pts))
-    ns = knn_query(tree, 0, 2)
-    assert ns.neighbors == ((1, 0.0), (2, 0.0))
+    d = Dataset(np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [9.0, 9.0]]))
+    neighbors, _ = knn_all(build(d), 2)
+    assert neighbors.indices.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1]]
+    assert neighbors.distances[:3].tolist() == [[0.0, 0.0]] * 3
+    _assert_knn_all_equals_brute_force(d, 2)
 
 
 def test_grid_ties_break_by_index():
     # all four corners equidistant from the center point
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
-    tree = build(Dataset(pts))
-    ns = knn_query(tree, 4, 2)
-    assert ns.indices == (0, 1)
+    neighbors, _ = knn_all(build(Dataset(pts)), 2)
+    assert neighbors.indices[4].tolist() == [0, 1]
+    _assert_knn_all_equals_brute_force(Dataset(pts), 2)
 
 
 def test_knn_all_cache_two_points():
     d = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]))
     tree = build(d)
-    sets, cache = knn_all(tree, 1)
+    neighbors, cache = knn_all(tree, 1)
     assert len(cache) == 1
     assert cache.evaluations == 1
-    assert sets[0].neighbors == ((1, 1.0),)
+    assert neighbors.indices.tolist() == [[1], [0]]
+    assert neighbors.distances.tolist() == [[1.0], [1.0]]
 
 
 def test_cache_symmetry_and_sparsity(two_blobs):
@@ -198,9 +196,9 @@ def test_cache_absent_pair_distinguished_from_zero():
 
 def test_knn_all_deterministic(two_blobs):
     tree = build(two_blobs)
-    sets_a, cache_a = knn_all(tree, 6)
-    sets_b, cache_b = knn_all(build(two_blobs), 6)
-    assert sets_a == sets_b
+    neighbors_a, cache_a = knn_all(tree, 6)
+    neighbors_b, cache_b = knn_all(build(two_blobs), 6)
+    _assert_same_neighbors(neighbors_a, neighbors_b)
     assert cache_a.pairs() == cache_b.pairs()
     assert cache_a.evaluations == cache_b.evaluations
 
@@ -208,9 +206,9 @@ def test_knn_all_deterministic(two_blobs):
 def test_query_rejects_bad_k():
     tree = build(Dataset(np.array([[0.0], [1.0], [2.0]])))
     with pytest.raises(ValueError):
-        knn_query(tree, 0, 0)
+        knn_all(tree, 0)
     with pytest.raises(ValueError):
-        knn_query(tree, 0, 3)
+        knn_all(tree, 3)
 
 
 def test_dump_golden():
@@ -237,43 +235,33 @@ def test_twelve_point_cache_shape():
                 assert cache.get(i, j) is None
 
 
-def test_concurrent_queries_share_cache():
-    from concurrent.futures import ThreadPoolExecutor
-
-    d = random_dataset(30, n=250, dim=3)
-    tree = build(d)
-    serial_sets, serial_cache = knn_all(tree, 6)
-    shared = SparseDistanceMatrix(d.points)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda i: knn_query(tree, i, 6, shared), range(d.n)))
-    assert threaded == serial_sets
-    assert shared.pairs() == serial_cache.pairs()
-
-
 def test_cache_shared_by_threads_loses_no_pair():
-    """Bulk records from k-NN queries and single pairs from ``distance``
-    race on one cache under a short switch interval; nothing is lost or
-    counted twice."""
+    """Single pairs from ``distance`` and whole rows from ``distances`` race
+    on one cache built by ``knn_all`` under a short switch interval; nothing
+    is lost or counted twice, and every value has the bits of a serial run."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     d = random_dataset(31, n=120, dim=2)
     tree = build(d)
-    want_sets, want = knn_all(tree, 4)
     late = [(i, (7 * i + 3) % d.n) for i in range(d.n)]
-    for i, j in late:
-        want.distance(i, j)
-    shared = SparseDistanceMatrix(d.points)
+    rows = [(i, np.arange(i % 3, d.n, 3)) for i in range(0, d.n, 5)]
+    _, want = knn_all(tree, 4)
+    want_late = [want.distance(i, j) for i, j in late]
+    want_rows = [want.distances(i, js) for i, js in rows]
+    _, shared = knn_all(tree, 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(knn_query, tree, i, 4, shared) for i in range(d.n)]
-            futures += [pool.submit(shared.distance, i, j) for i, j in late]
+            futures = [pool.submit(shared.distance, i, j) for i, j in late]
+            futures += [pool.submit(shared.distances, i, js) for i, js in rows]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert results[: d.n] == want_sets
+    assert np.array(results[: len(late)]).tobytes() == np.array(want_late).tobytes()
+    for got, row in zip(results[len(late) :], want_rows):
+        assert got.tobytes() == row.tobytes()
     assert shared.pairs() == want.pairs()
     assert shared.evaluations == want.evaluations == len(shared)
 
@@ -283,10 +271,7 @@ def test_query_on_tight_cluster_field():
         np.random.default_rng(8).uniform(0, 50, size=(10, 2)),
         spread=0.5, points_per_cluster=30, seed=8,
     )
-    tree = build(d)
-    m = full_matrix(d)
-    for i in range(0, d.n, 11):
-        assert knn_query(tree, i, 10) == brute_knn(m, i, 10)
+    _assert_knn_all_equals_brute_force(d, 10)
 
 
 def _lattice():
@@ -370,18 +355,20 @@ def reference_knn_query(tree, target, k, cache, prune=True):
 
     search(0)
     found = sorted((-d, -i) for d, i in heap)
-    return NeighborSet(target, tuple((i, d) for d, i in found))
+    return [i for _, i in found], [d for d, _ in found]
 
 
 def _assert_knn_all_equals_reference(d, k, prunes=(True, False)):
-    """Neighbor sets, evaluated pair set, evaluation count and distance bits
-    of ``knn_all`` equal the recursive search's, for each of ``prunes``."""
+    """Neighbors (distance bits included), evaluated pair set, evaluation
+    count and cached distance bits of ``knn_all`` equal the recursive
+    search's, for each of ``prunes``."""
     tree = build(d)
     for prune in prunes:
-        sets, cache = knn_all(tree, k, prune)
+        neighbors, cache = knn_all(tree, k, prune)
         ref_cache = SparseDistanceMatrix(d.points)
         want = [reference_knn_query(tree, i, k, ref_cache, prune) for i in range(d.n)]
-        assert sets == want
+        assert neighbors.indices.tolist() == [indices for indices, _ in want]
+        assert neighbors.distances.tobytes() == np.array([row for _, row in want]).tobytes()
         assert cache.pairs() == ref_cache.pairs()
         assert cache.evaluations == ref_cache.evaluations == len(cache)
         for i, j in ref_cache.pairs():
@@ -423,36 +410,25 @@ def test_knn_all_equals_reference_search_on_adversarial_inputs(case):
     _assert_knn_all_equals_reference(*case)
 
 
-def test_knn_query_equals_reference_search():
-    d = _coincident()
-    tree = build(d)
-    for prune in (True, False):
-        cache, ref_cache = SparseDistanceMatrix(d.points), SparseDistanceMatrix(d.points)
-        for i in range(d.n):
-            want = reference_knn_query(tree, i, 5, ref_cache, prune)
-            assert knn_query(tree, i, 5, cache, prune) == want
-            assert cache.pairs() == ref_cache.pairs()
-
-
 def test_identical_points_build_and_search_without_recursion():
     d = Dataset(np.full((1500, 2), 0.25))
     tree = build(d)
     assert tree.depth() == 1500  # ties all go left (ROADMAP item 2)
     assert len(tree.dump().splitlines()) == 1500
-    sets, cache = knn_all(tree, 7)
-    assert [ns.indices for ns in sets[:2]] == [(1, 2, 3, 4, 5, 6, 7), (0, 2, 3, 4, 5, 6, 7)]
-    assert all(ns.radius == 0.0 for ns in sets)
+    neighbors, cache = knn_all(tree, 7)
+    assert neighbors.indices[:2].tolist() == [[1, 2, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7]]
+    assert (neighbors.distances == 0.0).all()
     assert len(cache) == 1500 * 1499 // 2
 
 
 def test_cache_keys_at_large_n_do_not_overflow():
     """Keys ``lo * n + hi`` pass 2**31 at n = 100 000; no int32 step may wrap."""
     n = 100_000
-    cache = SparseDistanceMatrix(np.arange(n, dtype=float)[:, None])
     pairs = {(n - 2, n - 1), (0, n - 1), (n - 3, n - 1), (1, 2)}
     keys = np.array([lo * n + hi for lo, hi in pairs], dtype=np.int64)
     assert keys.max() > np.iinfo(np.int32).max
-    cache.record(np.concatenate([keys, keys[::-1]]))
+    points = np.arange(n, dtype=float)[:, None]
+    cache = SparseDistanceMatrix(points, keys=np.concatenate([keys, keys[::-1]]))
     assert cache.pairs() == pairs
     for lo, hi in pairs:
         assert cache.get(hi, lo) == cache.get(lo, hi) == hi - lo
@@ -464,13 +440,12 @@ def test_cache_keys_at_large_n_do_not_overflow():
 
 
 def test_cache_record_matches_full_matrix_across_chunks():
-    """Every pair of 800 points, more than one chunk of distances, each
-    bit-identical to ``full_matrix``."""
+    """Every pair of 800 points handed to the constructor, more than one
+    chunk of distances, each bit-identical to ``full_matrix``."""
     d = random_dataset(32, n=800, dim=3)
     lo, hi = np.triu_indices(d.n, 1)
     assert len(lo) > sparse._CHUNK
-    cache = SparseDistanceMatrix(d.points)
-    cache.record((lo * d.n + hi)[::-1].copy())
+    cache = SparseDistanceMatrix(d.points, keys=(lo * d.n + hi)[::-1].copy())
     got = np.array([cache.get(i, j) for i, j in zip(lo.tolist(), hi.tolist())])
     assert got.tobytes() == full_matrix(d)[lo, hi].tobytes()
     assert len(cache) == cache.evaluations == len(lo)
@@ -496,9 +471,6 @@ def test_cache_bulk_and_late_pairs_agree(two_blobs):
     for i, j in cache.pairs():
         assert cache.get(i, j) == cache.get(j, i) == m[i, j]
         assert (i, j) in cache and (j, i) in cache
-    # a bulk record after late pairs stores only what is new
-    cache.record(np.array([0 * two_blobs.n + j for j in range(1, 40)], dtype=np.int64))
-    assert len(cache) == cache.evaluations == len(bulk) + len(late)
 
 
 @pytest.mark.parametrize("i", [0, 17, 59])
