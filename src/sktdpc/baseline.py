@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .dataset import Dataset
-from .kdtree import _records
+from .kdtree import _check_k, _records
 
 
 def full_matrix(d: Dataset) -> np.ndarray:
@@ -41,8 +41,7 @@ def brute_knn_all(m: np.ndarray, k: int) -> np.recarray:
     first k + 1 columns hold the k nearest others either way.
     """
     n = m.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    _check_k(n, k)
     order = np.argsort(m, axis=1, kind="stable")[:, : k + 1]
     keep = order != np.arange(n)[:, None]
     keep[:, k] = ~keep[:, :k].all(axis=1)  # drop the point itself, else the (k+1)-th

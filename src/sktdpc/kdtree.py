@@ -169,7 +169,7 @@ def build(d: Dataset) -> KdTree:
 
 
 def _lockstep_knn(
-    tree: KdTree, targets: np.ndarray, k: int, prune: bool
+    tree: KdTree, targets: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact k nearest neighbors of every point in ``targets``.
 
@@ -179,8 +179,8 @@ def _lockstep_knn(
 
     All queries advance together, one stack pop each per step.  A query's
     pops are those of the depth-first search that visits the near child
-    first and then the far child only when ``not prune``, or fewer than k
-    candidates are kept, or the target-to-hyperplane distance is at most
+    first and then the far child only when fewer than k candidates are
+    kept, or the target-to-hyperplane distance is at most
     the k-th best distance so far.  The far child is pushed with that plane
     distance and tested when popped, which is when the depth-first search
     tests it, after the near subtree; a near child is pushed with -inf.
@@ -285,7 +285,7 @@ def _lockstep_knn(
             # for a lane that visited its node.
             at = np.maximum(top, base)
             stack[at] = near_far[1]
-            bound[at] = np.abs(plane) if prune else -np.inf
+            bound[at] = np.abs(plane)
             at += exists[1]
             stack[at] = near_far[0]
             bound[at] = -np.inf
@@ -324,8 +324,8 @@ def _width(count: int) -> int:
     return count if count >= 1024 else max(2, 1 << (count - 1).bit_length())
 
 
-def _check_k(tree: KdTree, k: int) -> None:
-    n = tree.dataset.n
+def _check_k(n: int, k: int) -> None:
+    """ValueError unless 1 <= k <= n - 1, for k neighbours among n points."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
 
@@ -339,20 +339,19 @@ def _records(indices: np.ndarray, distances: np.ndarray) -> np.recarray:
     )
 
 
-def knn_all(tree: KdTree, k: int, prune: bool = True) -> tuple[np.recarray, SparseDistanceMatrix]:
+def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     """Exact k nearest neighbors of every point (self excluded), and the
-    distance cache of every pair evaluated on the way.
+    ledger of every pair evaluated on the way.
 
     The neighbors are n records; their ``indices`` and ``distances`` fields
     are (n, k) arrays, row i ascending by (distance, index), so distance
     ties go to the lower point index.  A subtree is skipped only when the
     target-to-splitting-hyperplane distance already exceeds the current
-    k-th-best distance; ``prune=False`` always descends, a verification
-    hook that must return the identical neighbors.  The cache holds the
-    union of the pairs the queries evaluated, each computed once.
+    k-th-best distance.  The ledger records the union of the pairs the
+    queries evaluated, each counted once.
     """
-    _check_k(tree, k)
-    indices, distances, keys = _lockstep_knn(tree, np.arange(tree.dataset.n), k, prune)
+    _check_k(tree.dataset.n, k)
+    indices, distances, keys = _lockstep_knn(tree, np.arange(tree.dataset.n), k)
     return _records(indices, distances), SparseDistanceMatrix(tree.dataset.points, tree, keys)
 
 

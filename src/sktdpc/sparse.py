@@ -1,17 +1,19 @@
-"""Symmetric sparse cache of pairwise Euclidean distances.
+"""Symmetric sparse ledger of the pairwise Euclidean distances evaluated.
 
-Only the distances actually requested are ever computed.  The cache is the
-shared record between the k-nearest-neighbor search (which fills it) and the
-relative-separation pass (which reads it back and tops it up), and its
-evaluation counter is what the benchmark instrumentation reports.  A cache
-filled by :func:`sktdpc.kdtree.knn_all` also carries the tree it was filled
-from, so the separation pass can search that tree without rebuilding it.
+The ledger records which pairs the algorithm has had to evaluate, not their
+distances: the k-nearest-neighbor search hands over the pairs it evaluated,
+the relative-separation pass adds the ones it needs beyond those, and the
+count of distinct pairs is the cost the benchmark instrumentation reports.
+A read recomputes the distance, which costs no more than looking it up
+would.  A ledger filled by :func:`sktdpc.kdtree.knn_all` also carries the
+tree it was filled from, so the separation pass can search that tree
+without rebuilding it.
 
 A pair ``(lo, hi)``, ``lo < hi``, is keyed by the int64 ``lo * n + hi``.
-The k-NN search hands its pairs to the constructor in bulk; they live in
-one sorted key array with a distance array beside it, set once and never
-merged into.  Pairs requested later, one at a time (:meth:`distance`) or
-all of one point's at once (:meth:`distances`), go into a dict.
+The k-NN search hands its keys to the constructor in bulk; they live in one
+sorted key array, set once and never merged into.  Pairs evaluated later,
+one at a time (:meth:`distance`) or all of one point's at once
+(:meth:`distances`), go into a set.
 """
 
 from __future__ import annotations
@@ -21,30 +23,23 @@ from math import sqrt
 
 import numpy as np
 
-_CHUNK = 1 << 18  # pairs whose distances are computed together
-
 
 class SparseDistanceMatrix:
-    """Distance cache keyed by unordered point-index pair.
+    """Ledger of the point-index pairs whose distance has been evaluated.
 
-    ``distance(i, j)`` computes through the cache: a repeated request for a
-    pair returns the stored value without recomputation, so the evaluation
-    counter equals the number of distinct pairs ever computed.  ``tree`` is
-    the k-d tree over the same points, or None.  Threads may share a cache:
-    writes are serialised by a lock.
+    ``distance(i, j)`` evaluates a pair and records it; the evaluation
+    counter is the number of distinct pairs recorded, however often each is
+    read.  Squared differences are summed dimension by dimension, in the
+    order ``baseline.full_matrix`` uses, so every distance is bit-identical
+    to it.  ``tree`` is the k-d tree over the same points, or None.
+    Threads may share a ledger: writes are serialised by a lock.
     """
 
     __slots__ = ("_points", "_columns", "_n", "_block", "_extra", "_lock", "tree")
 
     def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
-        """A cache over ``points`` holding the distance of every pair in
-        ``keys`` (int64 ``lo * n + hi``, any order, repeats allowed; sorted
-        in place).
-
-        The squared differences are summed dimension by dimension, in the
-        order :meth:`distance` and ``baseline.full_matrix`` use, so each
-        value is bit-identical to theirs.
-        """
+        """A ledger over ``points`` recording every pair in ``keys`` (int64
+        ``lo * n + hi``, any order, repeats allowed; sorted in place)."""
         pts = np.asarray(points, dtype=np.float64)
         self._points = [tuple(row) for row in pts.tolist()]
         self._columns = np.ascontiguousarray(pts.T)
@@ -55,118 +50,89 @@ class SparseDistanceMatrix:
         keys.sort()
         if len(keys):
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        dists = np.zeros(len(keys))
-        for start in range(0, len(keys), _CHUNK):  # bounds the temporaries
-            lo, hi = np.divmod(keys[start : start + _CHUNK], self._n)
-            s = dists[start : start + _CHUNK]
-            for column in self._columns:
-                t = column[lo] - column[hi]
-                t *= t
-                s += t
-            np.sqrt(s, out=s)
-        self._block = (keys, dists)  # sorted unique keys and their distances
-        self._extra: dict[int, float] = {}
+        self._block = keys  # sorted unique keys, none of them in _extra
+        self._extra: set[int] = set()
         self._lock = threading.Lock()
         self.tree = tree
 
     def __len__(self) -> int:
-        return len(self._block[0]) + len(self._extra)
+        return len(self._block) + len(self._extra)
 
     @property
     def evaluations(self) -> int:
-        """Distinct pairs computed so far; each stored pair was computed once."""
+        """Distinct pairs evaluated so far; each is counted once."""
         return len(self)
 
     def _key(self, i: int, j: int) -> int:
-        return i * self._n + j if i < j else j * self._n + i
+        """Key of the pair (i, j); IndexError unless both lie in [0, n)."""
+        n = self._n
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"point index out of range [0, {n}): ({i}, {j})")
+        return i * n + j if i < j else j * n + i
 
-    def _lookup(self, key: int) -> float | None:
-        d = self._extra.get(key)
-        if d is None:
-            keys, dists = self._block
-            p = keys.searchsorted(key)
-            if p < len(keys) and keys.item(p) == key:
-                d = dists.item(p)
-        return d
+    def _stored(self, key: int) -> bool:
+        if key in self._extra:
+            return True
+        p = self._block.searchsorted(key)
+        return p < len(self._block) and self._block.item(p) == key
+
+    def _compute(self, i: int, j: int) -> float:
+        s = 0.0
+        for a, b in zip(self._points[i], self._points[j]):
+            t = a - b
+            s += t * t
+        return sqrt(s)
 
     def distance(self, i: int, j: int) -> float:
-        """Euclidean distance between points i and j, computed at most once."""
+        """Euclidean distance between points i and j, recording the pair."""
+        key = self._key(i, j)
         if i == j:
             return 0.0
-        key = self._key(i, j)
-        d = self._lookup(key)
-        if d is None:
-            with self._lock:  # look again: another thread may have stored it
-                d = self._lookup(key)
-                if d is None:
-                    s = 0.0
-                    for a, b in zip(self._points[i], self._points[j]):
-                        t = a - b
-                        s += t * t
-                    d = sqrt(s)
-                    self._extra[key] = d
-        return d
+        if not self._stored(key):  # the block never changes; adding is idempotent
+            with self._lock:
+                self._extra.add(key)
+        return self._compute(i, j)
 
     def distances(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Euclidean distances from point i to each of the distinct points
-        ``js``, each pair computed at most once: the vector twin of
-        :meth:`distance`.
-
-        Stored pairs are read from the key block and the dict; the missing
-        ones are computed together, dimension by dimension as the
-        constructor computes the block, and go into the dict.
-        """
+        """Euclidean distances from point i to each of the points ``js``,
+        recording the pairs: the vector twin of :meth:`distance`."""
         js = np.asarray(js, dtype=np.int64)
         n = self._n
-        keys = np.where(js < i, js * n + i, i * n + js)
+        if not 0 <= i < n or len(js) and not (0 <= js.min() and js.max() < n):
+            raise IndexError(f"point index out of range [0, {n}): {i} or one of js")
         out = np.zeros(len(js))
+        for column in self._columns:
+            t = column[i] - column[js]
+            t *= t
+            out += t
+        np.sqrt(out, out=out)
+        keys = np.where(js < i, js * n + i, i * n + js)[js != i]
+        if len(self._block):
+            p = np.minimum(self._block.searchsorted(keys), len(self._block) - 1)
+            keys = keys[self._block[p] != keys]
         with self._lock:
-            rest = np.flatnonzero(js != i)  # a point is at 0.0 from itself
-            for stored_keys, stored in (self._block, self._extra_arrays()):
-                if len(stored_keys) and len(rest):
-                    p = stored_keys.searchsorted(keys[rest])
-                    p = np.minimum(p, len(stored_keys) - 1)
-                    hit = stored_keys[p] == keys[rest]
-                    out[rest[hit]] = stored[p[hit]]
-                    rest = rest[~hit]
-            if len(rest):
-                others = js[rest]
-                s = np.zeros(len(rest))
-                for column in self._columns:
-                    t = column[i] - column[others]
-                    t *= t
-                    s += t
-                np.sqrt(s, out=s)
-                out[rest] = s
-                self._extra.update(zip(keys[rest].tolist(), s.tolist()))
+            self._extra.update(keys.tolist())
         return out
 
-    def _extra_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dict's keys, sorted, and their distances."""
-        keys = np.fromiter(self._extra, dtype=np.int64, count=len(self._extra))
-        dists = np.fromiter(self._extra.values(), dtype=float, count=len(self._extra))
-        order = keys.argsort()
-        return keys[order], dists[order]
-
     def get(self, i: int, j: int) -> float | None:
-        """Stored distance for (i, j), or None if never computed."""
+        """Distance of (i, j), or None if the pair was never evaluated."""
+        key = self._key(i, j)
         if i == j:
             return 0.0
-        return self._lookup(self._key(i, j))
+        return self._compute(i, j) if self._stored(key) else None
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        i, j = pair
-        return self._lookup(self._key(i, j)) is not None
+        return self._stored(self._key(*pair))
 
     def pairs(self) -> set[tuple[int, int]]:
-        """Snapshot of all stored (low, high) index pairs."""
-        lo, hi = np.divmod(self._block[0], self._n)
+        """Snapshot of all recorded (low, high) index pairs."""
+        lo, hi = np.divmod(self._block, self._n)
         out = set(zip(lo.tolist(), hi.tolist()))
         out.update(divmod(key, self._n) for key in list(self._extra))
         return out
 
     def ratio(self) -> float:
-        """Stored unique pairs as a fraction of the full n(n-1)/2 pair count."""
+        """Recorded pairs as a fraction of the full n(n-1)/2 pair count."""
         n = self._n
         total = n * (n - 1) // 2
         return len(self) / total if total else 1.0

@@ -42,9 +42,9 @@ def test_brute_knn_examples():
     assert neighbors.indices.tolist() == [[1], [0], [1]]
     assert neighbors.distances.tolist() == [[2.0], [2.0], [3.0]]
     assert brute_knn_all(m, 2).indices[1].tolist() == [0, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 2\], got 3$"):
         brute_knn_all(m, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 2\], got 0$"):
         brute_knn_all(m, 0)
     # coincident points of lower index sort before a point's own zero, so
     # the point itself may lie past the k-th column of its sorted row

@@ -138,19 +138,23 @@ def test_plot_scatter_rejects_high_dim(tmp_path, capsys):
 
 
 def test_bench_builtin_suite_deterministic_reports(tmp_path):
-    """Timings aside, two runs of a builtin suite match each other and the
-    committed golden report."""
-    for suite, cells in (("synthetic", 4), ("real", 3)):
-        out_a = tmp_path / f"{suite}-a.txt"
-        out_b = tmp_path / f"{suite}-b.txt"
-        assert main(["bench", "--suite", suite, "--repeats", "2", "--output", str(out_a)]) == 0
-        assert main(["bench", "--suite", suite, "--repeats", "2", "--output", str(out_b)]) == 0
-        stripped = report.strip_timings(out_a.read_text())
-        assert stripped == report.strip_timings(out_b.read_text())
-        assert stripped == (GOLDEN / f"bench_{suite}.txt").read_text()
-        runs = report.parse_text(out_a.read_text())
-        assert len(runs) == cells
-        assert all(r["timings"]["repeats"] == "2" for r in runs)
+    """Timings aside, every run of a builtin suite matches the committed
+    golden report.  The synthetic and real suites run twice, two repeats
+    each; the efficiency suite, whose full-matrix cell takes seconds, once."""
+    for suite, cells, runs, repeats in (
+        ("synthetic", 4, 2, 2), ("real", 3, 2, 2), ("efficiency", 2, 1, 1)
+    ):
+        texts = []
+        for r in range(runs):
+            out = tmp_path / f"{suite}-{r}.txt"
+            argv = ["bench", "--suite", suite, "--repeats", str(repeats), "--output", str(out)]
+            assert main(argv) == 0
+            texts.append(out.read_text())
+        golden = (GOLDEN / f"bench_{suite}.txt").read_text()
+        assert [report.strip_timings(t) for t in texts] == [golden] * runs
+        parsed = report.parse_text(texts[0])
+        assert len(parsed) == cells
+        assert all(p["timings"]["repeats"] == str(repeats) for p in parsed)
 
 
 def test_bench_custom_suite_and_failure_recording(tmp_path):

@@ -384,9 +384,10 @@ def test_scaling_leaves_structure_unchanged(two_blobs):
 
 
 def test_run_sktdpc_rejects_bad_k(two_blobs):
-    with pytest.raises(ValueError):
+    top = two_blobs.n - 1
+    with pytest.raises(ValueError, match=rf"^k must be in \[1, {top}\], got 0$"):
         core.run_sktdpc(two_blobs, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^k must be in \[1, {top}\], got 300$"):
         core.run_sktdpc(two_blobs, 300)
 
 

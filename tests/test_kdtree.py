@@ -12,7 +12,6 @@ from sktdpc.baseline import brute_knn_all, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
 from sktdpc import kdtree
 from sktdpc.kdtree import build, knn_all, nearest_denser_query, subtree_min_rank
-from sktdpc import sparse
 from sktdpc.sparse import SparseDistanceMatrix
 
 
@@ -118,18 +117,13 @@ def test_single_query_distance_bits_in_many_dimensions(dim):
     tree = build(d)
     want = brute_knn_all(full_matrix(d), 5)
     for i in range(d.n):
-        indices, distances, keys = kdtree._lockstep_knn(tree, np.array([i]), 5, True)
+        indices, distances, keys = kdtree._lockstep_knn(tree, np.array([i]), 5)
         assert indices.tolist() == want.indices[i : i + 1].tolist()
         assert distances.tobytes() == want.distances[i : i + 1].tobytes()
         ref_cache = SparseDistanceMatrix(d.points)
         reference_knn_query(tree, i, 5, ref_cache)
         assert set(zip(*np.divmod(keys, d.n))) == ref_cache.pairs()
         assert len(keys) == ref_cache.evaluations
-
-
-def test_pruning_soundness():
-    tree = build(random_dataset(5, n=200, dim=3))
-    _assert_same_neighbors(knn_all(tree, 9, prune=True)[0], knn_all(tree, 9, prune=False)[0])
 
 
 def test_duplicate_points_are_neighbors_at_zero():
@@ -194,6 +188,23 @@ def test_cache_absent_pair_distinguished_from_zero():
     assert cache.get(0, 1) == 0.0
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-3, 2), (3, 0), (0, 3), (-1, -1), (3, 3)])
+def test_cache_rejects_indices_outside_the_points(i, j):
+    """An index outside [0, n) raises instead of wrapping round to another
+    point or aliasing another pair's key, and records nothing."""
+    cache = SparseDistanceMatrix(np.array([[0.0], [1.0], [5.0]]))
+    with pytest.raises(IndexError):
+        cache.distance(i, j)
+    with pytest.raises(IndexError):
+        cache.get(i, j)
+    with pytest.raises(IndexError):
+        cache.distances(i, np.array([1, j]))
+    assert len(cache) == cache.evaluations == 0
+    assert cache.get(2, 0) is None
+    assert cache.distance(2, 0) == 5.0
+    assert cache.pairs() == {(0, 2)} and cache.evaluations == 1
+
+
 def test_knn_all_deterministic(two_blobs):
     tree = build(two_blobs)
     neighbors_a, cache_a = knn_all(tree, 6)
@@ -205,9 +216,9 @@ def test_knn_all_deterministic(two_blobs):
 
 def test_query_rejects_bad_k():
     tree = build(Dataset(np.array([[0.0], [1.0], [2.0]])))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 2\], got 0$"):
         knn_all(tree, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 2\], got 3$"):
         knn_all(tree, 3)
 
 
@@ -314,11 +325,11 @@ def test_nearest_denser_query_matches_scan_with_ties(make):
     assert (zero_tied > 0) == (make is _coincident)
 
 
-def reference_knn_query(tree, target, k, cache, prune=True):
+def reference_knn_query(tree, target, k, cache):
     """The recursive depth-first search the lockstep traversal replaced, kept
-    as its oracle: near child first, far child only when ``not prune``, or
-    fewer than k candidates are kept, or the plane is no farther than the
-    k-th best; one scalar ``cache.distance`` per visited node."""
+    as its oracle: near child first, far child only when fewer than k
+    candidates are kept, or the plane is no farther than the k-th best; one
+    scalar ``cache.distance`` per visited node."""
     point, split_dim, split_value, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
     )
@@ -346,11 +357,7 @@ def reference_knn_query(tree, target, k, cache, prune=True):
             near, far = right[v], left[v]
         if near >= 0:
             search(near)
-        if far >= 0 and (
-            not prune
-            or len(heap) < k
-            or (diff if diff >= 0.0 else -diff) <= -heap[0][0]
-        ):
+        if far >= 0 and (len(heap) < k or (diff if diff >= 0.0 else -diff) <= -heap[0][0]):
             search(far)
 
     search(0)
@@ -358,22 +365,21 @@ def reference_knn_query(tree, target, k, cache, prune=True):
     return [i for _, i in found], [d for d, _ in found]
 
 
-def _assert_knn_all_equals_reference(d, k, prunes=(True, False)):
+def _assert_knn_all_equals_reference(d, k):
     """Neighbors (distance bits included), evaluated pair set, evaluation
-    count and cached distance bits of ``knn_all`` equal the recursive
-    search's, for each of ``prunes``."""
+    count and read-back distance bits of ``knn_all`` equal the recursive
+    search's."""
     tree = build(d)
-    for prune in prunes:
-        neighbors, cache = knn_all(tree, k, prune)
-        ref_cache = SparseDistanceMatrix(d.points)
-        want = [reference_knn_query(tree, i, k, ref_cache, prune) for i in range(d.n)]
-        assert neighbors.indices.tolist() == [indices for indices, _ in want]
-        assert neighbors.distances.tobytes() == np.array([row for _, row in want]).tobytes()
-        assert cache.pairs() == ref_cache.pairs()
-        assert cache.evaluations == ref_cache.evaluations == len(cache)
-        for i, j in ref_cache.pairs():
-            want_bits = np.float64(ref_cache.get(i, j)).tobytes()
-            assert np.float64(cache.get(i, j)).tobytes() == want_bits
+    neighbors, cache = knn_all(tree, k)
+    ref_cache = SparseDistanceMatrix(d.points)
+    want = [reference_knn_query(tree, i, k, ref_cache) for i in range(d.n)]
+    assert neighbors.indices.tolist() == [indices for indices, _ in want]
+    assert neighbors.distances.tobytes() == np.array([row for _, row in want]).tobytes()
+    assert cache.pairs() == ref_cache.pairs()
+    assert cache.evaluations == ref_cache.evaluations == len(cache)
+    for i, j in ref_cache.pairs():
+        want_bits = np.float64(ref_cache.get(i, j)).tobytes()
+        assert np.float64(cache.get(i, j)).tobytes() == want_bits
 
 
 def _random(dim):
@@ -401,7 +407,7 @@ def test_knn_all_equals_reference_search_beyond_1024_lanes():
     points = grid.reshape(-1, 3).astype(float)
     d = Dataset(points[np.random.default_rng(11).permutation(len(points))])
     assert d.n > 1024
-    _assert_knn_all_equals_reference(d, 7, prunes=(True,))
+    _assert_knn_all_equals_reference(d, 7)
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,15 +445,21 @@ def test_cache_keys_at_large_n_do_not_overflow():
     assert (n - 5, n - 1) not in cache and cache.get(n - 1, n - 5) is None
 
 
-def test_cache_record_matches_full_matrix_across_chunks():
-    """Every pair of 800 points handed to the constructor, more than one
-    chunk of distances, each bit-identical to ``full_matrix``."""
+def test_cache_reads_every_pair_with_full_matrix_bits():
+    """Every pair of 800 points handed to the constructor reads back through
+    ``get``, ``distance`` and ``distances`` bit-identical to ``full_matrix``,
+    and reading a recorded pair again never counts it again."""
     d = random_dataset(32, n=800, dim=3)
+    m = full_matrix(d)
     lo, hi = np.triu_indices(d.n, 1)
-    assert len(lo) > sparse._CHUNK
     cache = SparseDistanceMatrix(d.points, keys=(lo * d.n + hi)[::-1].copy())
     got = np.array([cache.get(i, j) for i, j in zip(lo.tolist(), hi.tolist())])
-    assert got.tobytes() == full_matrix(d)[lo, hi].tobytes()
+    assert got.tobytes() == m[lo, hi].tobytes()
+    assert len(cache) == cache.evaluations == len(lo)
+    got = np.array([cache.distance(j, i) for i, j in zip(lo.tolist(), hi.tolist())])
+    assert got.tobytes() == m[lo, hi].tobytes()
+    for i in range(d.n):
+        assert cache.distances(i, np.arange(d.n)).tobytes() == m[i].tobytes()
     assert len(cache) == cache.evaluations == len(lo)
 
 
