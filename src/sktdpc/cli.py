@@ -9,11 +9,11 @@ input problem, 3 means an internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -62,19 +62,24 @@ def _run_algorithm(d: Dataset, opts: dict) -> core.ClusteringResult:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def _scores(raw: Dataset, result: core.ClusteringResult) -> dict[str, float] | None:
+    """External indices of the run against the input's ground truth, if any."""
+    return None if raw.labels is None else metrics.score_all(raw.labels, result.labels)
+
+
 def cmd_cluster(args) -> int:
     raw, mode, d = _load_input(args)
     result = _run_algorithm(d, vars(args))
-    rep = report.from_result(result, raw.labels, mode, raw.n, raw.dim)
+    scores = _scores(raw, result)
     if args.output:
         _write(args.output, "\n".join(str(int(v)) for v in result.labels) + "\n")
     if args.report:
-        _write(args.report, report.to_text(rep))
-    scores = f" acc={rep.metrics['acc']:.3f}" if rep.metrics else ""
+        _write(args.report, report.to_text(result, scores, mode, raw.dim, ()))
+    acc = f" acc={scores['acc']:.3f}" if scores else ""
     print(
         f"{raw.name or args.input}: {len(result.centers)} clusters, "
         f"{result.distance_evaluations} distance evaluations "
-        f"({result.distance_ratio:.1%} of full matrix){scores}"
+        f"({result.distance_ratio:.1%} of full matrix){acc}"
     )
     return 0
 
@@ -102,12 +107,12 @@ def _load_suite(name_or_path: str) -> list[dict]:
         return BUILTIN_SUITES[name_or_path]
     with open(name_or_path, "r", encoding="utf-8") as fh:
         cells = json.load(fh)
-    if not isinstance(cells, list):
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
         raise ValueError("suite file must hold a JSON list of run cells")
     return cells
 
 
-def _run_cell(cell: dict, repeats: int, seed: int) -> report.RunReport:
+def _run_cell(cell: dict, repeats: int, seed: int) -> str:
     raw = _resolve_dataset(cell["dataset"], cell.get("label_col"), seed)
     mode = cell.get("normalize", "min-max")
     d = normalize(raw, mode)
@@ -119,36 +124,22 @@ def _run_cell(cell: dict, repeats: int, seed: int) -> report.RunReport:
         times.append(time.perf_counter() - t0)
         if previous is not None and not np.array_equal(previous.labels, result.labels):
             raise RuntimeError(f"nondeterministic labels for cell {cell}")
-    rep = report.from_result(result, raw.labels, mode, raw.n, raw.dim, tuple(times))
-    timings = dict(rep.timings)
-    timings["mean_run"] = sum(times) / len(times)
-    return dataclasses.replace(rep, timings=timings, repeat_times=tuple(times))
+    return report.to_text(result, _scores(raw, result), mode, raw.dim, tuple(times))
 
 
 def cmd_bench(args) -> int:
-    cells = _load_suite(args.suite)
-    reports = []
-    failures = 0
-    for cell in cells:
+    texts, failures = [], []
+    for cell in _load_suite(args.suite):
         try:
-            reports.append(_run_cell(cell, args.repeats, args.seed))
+            texts.append(_run_cell(cell, args.repeats, args.seed))
         except Exception as exc:  # record and continue with the rest of the suite
-            failures += 1
-            reports.append(
-                report.RunReport(
-                    dataset=str(cell.get("dataset", "?")),
-                    algorithm=str(cell.get("algorithm", "?")),
-                    params={}, n=0, dim=0, normalize="",
-                    centers=(), mutation_point=None, candidates=0,
-                    distance_evaluations=0, distance_ratio=1.0, flags=(),
-                    metrics=None, timings={}, error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    text = "".join(report.to_text(r) for r in reports)
-    _write(args.output, text)
-    for r in reports:
-        if r.error:
-            print(f"FAILED {r.dataset}/{r.algorithm}: {r.error}", file=sys.stderr)
+            name, algorithm = str(cell.get("dataset", "?")), str(cell.get("algorithm", "?"))
+            error = f"{type(exc).__name__}: {exc}"
+            texts.append(report.error_text(name, algorithm, error))
+            failures.append(f"FAILED {name}/{algorithm}: {error}")
+    _write(args.output, "".join(texts))
+    for line in failures:
+        print(line, file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -264,17 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INPUT_ERRORS = (FileNotFoundError, ParseError, ValueError, KeyError, RuntimeError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RecursionError as exc:  # a RuntimeError, but a fault of ours, not of the input
+    except Exception as exc:
+        # a RecursionError is a RuntimeError, but a fault of ours, not of the input
+        if isinstance(exc, _INPUT_ERRORS) and not isinstance(exc, RecursionError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
-    except (FileNotFoundError, ParseError, ValueError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -7,97 +7,53 @@ can mask timing noise by dropping that section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from . import metrics as metrics_mod
 from .core import ClusteringResult
 
 
-@dataclass(frozen=True)
-class RunReport:
-    dataset: str
-    algorithm: str
-    params: dict
-    n: int
-    dim: int
-    normalize: str
-    centers: tuple[int, ...]
-    mutation_point: int | None
-    candidates: int
-    distance_evaluations: int
-    distance_ratio: float
-    flags: tuple[str, ...]
-    metrics: dict[str, float] | None
-    timings: dict[str, float]
-    repeat_times: tuple[float, ...] = ()
-    error: str | None = None
-
-    @property
-    def repeats(self) -> int:
-        return max(1, len(self.repeat_times))
+def _head(dataset: str, algorithm: str, params: dict, n: int, dim: int,
+          normalize: str) -> list[str]:
+    return [
+        "[run]", f"dataset = {dataset}", f"algorithm = {algorithm}",
+        *(f"param_{key} = {params[key]}" for key in sorted(params)),
+        f"n = {n}", f"features = {dim}", f"normalize = {normalize}",
+    ]
 
 
-def from_result(
-    result: ClusteringResult,
-    truth: np.ndarray | None,
-    normalize: str,
-    n: int,
-    dim: int,
-    repeat_times: tuple[float, ...] = (),
-) -> RunReport:
-    scores = None
-    if truth is not None:
-        scores = metrics_mod.score_all(truth, result.labels)
-    return RunReport(
-        dataset=result.dataset_name,
-        algorithm=result.algorithm,
-        params=dict(result.params),
-        n=n,
-        dim=dim,
-        normalize=normalize,
-        centers=result.centers,
-        mutation_point=result.mutation_point,
-        candidates=len(result.candidate_centers),
-        distance_evaluations=result.distance_evaluations,
-        distance_ratio=result.distance_ratio,
-        flags=result.flags,
-        metrics=scores,
-        timings=dict(result.timings),
-    )
+def to_text(result: ClusteringResult, scores: dict[str, float] | None,
+            normalize: str, dim: int, repeat_times: tuple[float, ...]) -> str:
+    """Report of one run.
 
-
-def to_text(report: RunReport) -> str:
-    lines = ["[run]"]
-    put = lines.append
-    put(f"dataset = {report.dataset}")
-    put(f"algorithm = {report.algorithm}")
-    for key in sorted(report.params):
-        put(f"param_{key} = {report.params[key]}")
-    put(f"n = {report.n}")
-    put(f"features = {report.dim}")
-    put(f"normalize = {report.normalize}")
-    if report.error is not None:
-        put(f"error = {report.error}")
-        return "\n".join(lines) + "\n"
-    put(f"centers = {len(report.centers)}")
-    put(f"center_indices = {' '.join(str(c) for c in report.centers)}")
-    put(f"mutation_point = {report.mutation_point if report.mutation_point is not None else '-'}")
-    put(f"candidates = {report.candidates}")
-    put(f"distance_evaluations = {report.distance_evaluations}")
-    put(f"distance_ratio = {report.distance_ratio:.6f}")
-    put(f"flags = {' '.join(report.flags)}")
-    if report.metrics is not None:
-        for key in ("acc", "ami", "ari", "nmi", "fmi"):
-            put(f"{key} = {report.metrics[key]:.6f}")
-    put("[timings]")
-    put(f"repeats = {report.repeats}")
-    for key in sorted(report.timings):
-        put(f"time_{key} = {report.timings[key]:.6f}")
-    if report.repeat_times:
-        put("repeat_times = " + " ".join(f"{t:.6f}" for t in report.repeat_times))
+    ``scores`` are the external indices against the ground truth (None
+    without one), ``normalize`` the feature scaling and ``dim`` the feature
+    count of the input.  A bench cell passes the wall time of each repeat;
+    their mean is reported as ``time_mean_run``.
+    """
+    mutation_point = "-" if result.mutation_point is None else result.mutation_point
+    lines = _head(result.dataset_name, result.algorithm, result.params,
+                  len(result.labels), dim, normalize) + [
+        f"centers = {len(result.centers)}",
+        f"center_indices = {' '.join(str(c) for c in result.centers)}",
+        f"mutation_point = {mutation_point}",
+        f"candidates = {len(result.candidate_centers)}",
+        f"distance_evaluations = {result.distance_evaluations}",
+        f"distance_ratio = {result.distance_ratio:.6f}",
+        f"flags = {' '.join(result.flags)}",
+    ]
+    if scores is not None:
+        lines += [f"{key} = {scores[key]:.6f}" for key in ("acc", "ami", "ari", "nmi", "fmi")]
+    timings = dict(result.timings)
+    if repeat_times:
+        timings["mean_run"] = sum(repeat_times) / len(repeat_times)
+    lines += ["[timings]", f"repeats = {max(1, len(repeat_times))}"]
+    lines += [f"time_{key} = {timings[key]:.6f}" for key in sorted(timings)]
+    if repeat_times:
+        lines.append("repeat_times = " + " ".join(f"{t:.6f}" for t in repeat_times))
     return "\n".join(lines) + "\n"
+
+
+def error_text(dataset: str, algorithm: str, error: str) -> str:
+    """Report of a bench cell that raised ``error`` instead of finishing."""
+    return "\n".join(_head(dataset, algorithm, {}, 0, 0, "") + [f"error = {error}"]) + "\n"
 
 
 def parse_text(text: str) -> list[dict[str, dict[str, str]]]:

@@ -10,10 +10,12 @@ tree it was filled from, so the separation pass can search that tree
 without rebuilding it.
 
 A pair ``(lo, hi)``, ``lo < hi``, is keyed by the int64 ``lo * n + hi``.
-The k-NN search hands its keys to the constructor in bulk; they live in one
-sorted key array, set once and never merged into.  Pairs evaluated later,
-one at a time (:meth:`distance`) or all of one point's at once
-(:meth:`distances`), go into a set.
+The k-NN search hands its keys to the constructor in bulk, a pair it
+evaluated from both ends once per end; they live in one sorted key array,
+repeats and all, set once and never merged into, beside the count of the
+distinct keys in it.  Pairs evaluated later, one at a time
+(:meth:`distance`) or all of one point's at once (:meth:`distances`), go
+into a set.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ class SparseDistanceMatrix:
 
     ``distance(i, j)`` evaluates a pair and records it; the evaluation
     counter is the number of distinct pairs recorded, however often each is
-    read.  Squared differences are summed dimension by dimension, in the
-    order ``baseline.full_matrix`` uses, so every distance is bit-identical
-    to it.  ``tree`` is the k-d tree over the same points, or None.
-    Threads may share a ledger: writes are serialised by a lock.
+    read or handed over (the bulk keys keep their repeats, and their
+    distinct count is taken once, on construction).  Squared differences
+    are summed dimension by dimension, in the order ``baseline.full_matrix``
+    uses, so every distance is bit-identical to it.  ``tree`` is the k-d
+    tree over the same points, or None.  Threads may share a ledger: writes
+    are serialised by a lock.
     """
 
-    __slots__ = ("_points", "_columns", "_n", "_block", "_extra", "_lock", "tree")
+    __slots__ = ("_points", "_columns", "_n", "_block", "_block_pairs", "_extra", "_lock",
+                 "tree")
 
     def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
         """A ledger over ``points`` recording every pair in ``keys`` (int64
@@ -44,19 +49,17 @@ class SparseDistanceMatrix:
         self._points = [tuple(row) for row in pts.tolist()]
         self._columns = np.ascontiguousarray(pts.T)
         self._n = pts.shape[0]
-        # sort plus a neighbour mask: np.unique is many times slower on
-        # millions of int64 keys
         keys = np.asarray(() if keys is None else keys, dtype=np.int64)
         keys.sort()
-        if len(keys):
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        self._block = keys  # sorted unique keys, none of them in _extra
+        self._block = keys  # sorted, repeats kept; none of them in _extra
+        # distinct keys: a sorted array repeats a key in adjacent slots
+        self._block_pairs = len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1]))
         self._extra: set[int] = set()
         self._lock = threading.Lock()
         self.tree = tree
 
     def __len__(self) -> int:
-        return len(self._block) + len(self._extra)
+        return self._block_pairs + len(self._extra)
 
     @property
     def evaluations(self) -> int:

@@ -54,6 +54,18 @@ def test_cluster_internal_error_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: maximum recursion depth")
 
 
+def test_cluster_unexpected_exception_exit_3(monkeypatch, capsys):
+    """Status 1 is a failed bench cell; any other exception of ours is 3."""
+    def stage_bug(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds for axis 0 with size 7")
+
+    monkeypatch.setattr(core, "run_sktdpc", stage_bug)
+    assert main(["cluster", "flame", "--k", "3"]) == 3
+    first, *trace = capsys.readouterr().err.splitlines()
+    assert first == "internal error: index 7 is out of bounds for axis 0 with size 7"
+    assert trace[0] == "Traceback (most recent call last):" and "stage_bug" in "".join(trace)
+
+
 def test_cluster_identical_points_exit_0(tmp_path, capsys):
     """1500 identical points make a 1500-deep tree; nothing recurses."""
     p = tmp_path / "same.txt"
@@ -157,18 +169,59 @@ def test_bench_builtin_suite_deterministic_reports(tmp_path):
         assert all(p["timings"]["repeats"] == str(repeats) for p in parsed)
 
 
-def test_bench_custom_suite_and_failure_recording(tmp_path):
+def test_bench_custom_suite_and_failure_recording(tmp_path, capsys):
+    """A failed cell prints its name, empty input fields and the error, and no
+    [timings]; the suite still completes, and the cell beside it is whole."""
     suite = tmp_path / "suite.json"
     suite.write_text(
         '[{"dataset": "flame", "algorithm": "sktdpc", "k": 3},\n'
         ' {"dataset": "no-such-dataset", "algorithm": "sktdpc", "k": 3}]'
     )
     out = tmp_path / "rep.txt"
-    rc = main(["bench", "--suite", str(suite), "--output", str(out)])
-    assert rc == 1  # one cell failed, suite still completed
-    runs = report.parse_text(out.read_text())
-    assert len(runs) == 2
-    assert "error" in runs[1]["run"]
+    assert main(["bench", "--suite", str(suite), "--output", str(out)]) == 1
+    failed = (
+        "[run]\n"
+        "dataset = no-such-dataset\n"
+        "algorithm = sktdpc\n"
+        "n = 0\n"
+        "features = 0\n"
+        "normalize = \n"
+        "error = FileNotFoundError: no such file or registry dataset: no-such-dataset\n"
+    )
+    text = out.read_text()
+    assert text.endswith(failed)
+    assert report.strip_timings(text) == (
+        "[run]\n"
+        "dataset = flame\n"
+        "algorithm = sktdpc\n"
+        "param_k = 3\n"
+        "n = 240\n"
+        "features = 2\n"
+        "normalize = min-max\n"
+        "centers = 2\n"
+        "center_indices = 229 72\n"
+        "mutation_point = 2\n"
+        "candidates = 2\n"
+        "distance_evaluations = 3690\n"
+        "distance_ratio = 0.128661\n"
+        "flags = \n"
+        "acc = 1.000000\n"
+        "ami = 1.000000\n"
+        "ari = 1.000000\n"
+        "nmi = 1.000000\n"
+        "fmi = 1.000000\n"
+    ) + failed
+    assert capsys.readouterr().err == (
+        "FAILED no-such-dataset/sktdpc: "
+        "FileNotFoundError: no such file or registry dataset: no-such-dataset\n"
+    )
+
+
+def test_bench_suite_of_non_objects_exit_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text('["flame"]')
+    assert main(["bench", "--suite", str(suite)]) == 2
+    assert "JSON list of run cells" in capsys.readouterr().err
 
 
 def test_bench_repeat_times_recorded(tmp_path):
@@ -191,16 +244,44 @@ def test_bench_twenty_repeats_deterministic(tmp_path):
     assert runs[0]["timings"]["repeats"] == "20"
 
 
-def test_cluster_classic_dpc_algorithm(tmp_path):
+def test_cluster_classic_dpc_algorithm(tmp_path, capsys):
+    """The whole report of a classic-DPC run, timings aside: no mutation
+    point, no fixed-center-count flag, full-matrix evaluation count."""
     report_out = tmp_path / "dpc.txt"
     rc = main([
         "cluster", "spiral", "--algorithm", "dpc", "--dc", "2.0", "--n-centers", "3",
         "--kernel", "gaussian", "--normalize", "off", "--report", str(report_out),
     ])
     assert rc == 0
-    runs = report.parse_text(report_out.read_text())
-    assert runs[0]["run"]["algorithm"] == "dpc"
-    assert runs[0]["run"]["acc"] == "1.000000"
+    text = report_out.read_text()
+    assert report.strip_timings(text) == (
+        "[run]\n"
+        "dataset = spiral\n"
+        "algorithm = dpc\n"
+        "param_dc = 2.0\n"
+        "param_kernel = gaussian\n"
+        "param_n_centers = 3\n"
+        "n = 312\n"
+        "features = 2\n"
+        "normalize = none\n"
+        "centers = 3\n"
+        "center_indices = 95 301 197\n"
+        "mutation_point = -\n"
+        "candidates = 3\n"
+        "distance_evaluations = 48516\n"
+        "distance_ratio = 1.000000\n"
+        "flags = \n"
+        "acc = 1.000000\n"
+        "ami = 1.000000\n"
+        "ari = 1.000000\n"
+        "nmi = 1.000000\n"
+        "fmi = 1.000000\n"
+    )
+    timings = report.parse_text(text)[0]["timings"]
+    assert sorted(timings) == ["repeats", "time_total"] and timings["repeats"] == "1"
+    assert capsys.readouterr().out == (
+        "spiral: 3 clusters, 48516 distance evaluations (100.0% of full matrix) acc=1.000\n"
+    )
 
 
 def test_cluster_dpc_requires_dc(capsys):

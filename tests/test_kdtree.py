@@ -443,6 +443,9 @@ def test_cache_keys_at_large_n_do_not_overflow():
     assert cache.pairs() == pairs | {(n - 4, n - 1)}
     assert len(cache) == cache.evaluations == 5
     assert (n - 5, n - 1) not in cache and cache.get(n - 1, n - 5) is None
+    # every bulk key came twice; a repeat must not pass for a new pair
+    cache.distances(n - 1, np.array([n - 2, 0, n - 3, n - 4, n - 5]))
+    assert len(cache) == cache.evaluations == 6
 
 
 def test_cache_reads_every_pair_with_full_matrix_bits():
