@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .dataset import Dataset
-from .kdtree import _check_k, _records
+from .kdtree import _check_count, _records
 
 
 def full_matrix(d: Dataset) -> np.ndarray:
@@ -41,7 +41,7 @@ def brute_knn_all(m: np.ndarray, k: int) -> np.recarray:
     first k + 1 columns hold the k nearest others either way.
     """
     n = m.shape[0]
-    _check_k(n, k)
+    _check_count("k", k, n - 1)
     order = np.argsort(m, axis=1, kind="stable")[:, : k + 1]
     keep = order != np.arange(n)[:, None]
     keep[:, k] = ~keep[:, :k].all(axis=1)  # drop the point itself, else the (k+1)-th
@@ -100,8 +100,7 @@ def dpc_original(
     """
     if dc <= 0:
         raise ValueError("dc must be positive")
-    if not 1 <= n_centers <= d.n:
-        raise ValueError(f"n_centers must be in [1, {d.n}]")
+    _check_count("n_centers", n_centers, d.n)
     t0 = time.perf_counter()
     m = full_matrix(d)
     if kernel == "cutoff":

@@ -45,9 +45,12 @@ def _load_input(args) -> tuple[Dataset, str, Dataset]:
     return raw, mode, normalize(raw, mode)
 
 
+DEFAULT_ALGORITHM = "sktdpc"  # of a bench cell, or a command, that names none
+
+
 def _run_algorithm(d: Dataset, opts: dict) -> core.ClusteringResult:
     """Run the algorithm named in a bench cell or in ``vars(args)``."""
-    algorithm = opts.get("algorithm", "sktdpc")
+    algorithm = opts.get("algorithm", DEFAULT_ALGORITHM)
     k, n_centers = opts.get("k"), opts.get("n_centers")
     if algorithm in ("sktdpc", "reference"):
         if k is None:
@@ -133,7 +136,8 @@ def cmd_bench(args) -> int:
         try:
             texts.append(_run_cell(cell, args.repeats, args.seed))
         except Exception as exc:  # record and continue with the rest of the suite
-            name, algorithm = str(cell.get("dataset", "?")), str(cell.get("algorithm", "?"))
+            name = str(cell.get("dataset", "?"))
+            algorithm = str(cell.get("algorithm", DEFAULT_ALGORITHM))
             error = f"{type(exc).__name__}: {exc}"
             texts.append(report.error_text(name, algorithm, error))
             failures.append(f"FAILED {name}/{algorithm}: {error}")
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for generated registry datasets")
         if with_algorithm:
             p.add_argument("--algorithm", choices=["sktdpc", "reference", "dpc"],
-                           default="sktdpc")
+                           default=DEFAULT_ALGORITHM)
             p.add_argument("--dc", type=float, default=None,
                            help="cut-off distance for the dpc algorithm")
             p.add_argument("--kernel", choices=["cutoff", "gaussian"], default="cutoff",

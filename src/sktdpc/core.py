@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .kdtree import _check_k, build, knn_all, nearest_denser_query, subtree_min_rank
+from .kdtree import _check_count, build, knn_all, nearest_denser_query, subtree_min_rank
 from .sparse import SparseDistanceMatrix
 
 
@@ -250,9 +250,9 @@ def assign_labels(
 
 def _checked_params(d: Dataset, k: int, n_centers: int | None) -> dict:
     """Validate k and n_centers against the dataset; the result's params dict."""
-    _check_k(d.n, k)
-    if n_centers is not None and not 1 <= n_centers <= d.n:
-        raise ValueError(f"n_centers must be in [1, {d.n}], got {n_centers}")
+    _check_count("k", k, d.n - 1)
+    if n_centers is not None:
+        _check_count("n_centers", n_centers, d.n)
     return {"k": k} if n_centers is None else {"k": k, "n_centers": n_centers}
 
 

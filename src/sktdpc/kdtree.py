@@ -2,10 +2,10 @@
 
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack with hyperplane pruning.  It is held
-as flat arrays in preorder and built level by level: one numpy pass splits
-every subtree of a depth together (Zhou, Hou, Wang & Guo, SIGGRAPH Asia
-2008), into the same tree, bit for bit, as one split per node would give.
-Nothing here recurses, however deep the tree.
+as flat arrays in preorder and built level by level, each level with one
+sort and one variance block per subtree size (Zhou, Hou, Wang & Guo,
+SIGGRAPH Asia 2008), into the same tree, bit for bit, as one split per
+node would give.  Nothing here recurses, however deep the tree.
 
 The k-NN search runs every query in lockstep: all queries walk the tree
 together, one stack pop each per step, with numpy vectors across the
@@ -80,12 +80,12 @@ def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
 
     One pass per level splits every subtree of that depth.  The live points
     form one permutation cut into contiguous segments, one per subtree, each
-    in ascending (coordinate, index) order of its parent's split dimension.
-    A segment splits on its maximum-variance dimension (ties: the lowest)
-    at its median-rank point; points tied with that point rank right after
-    it and go low with the points before it, so each child is a contiguous
-    run once the pivots are taken out.  The left child of node ``v`` is
-    ``v + 1`` and the right child ``v + 1 + |low|``.
+    in ascending (coordinate, index) order of its parent's split dimension,
+    the row order its variances are summed in.  A segment splits on its
+    maximum-variance dimension (ties: the lowest) at its median-rank point;
+    points tied with that point rank right after it and go low with the
+    points before it, so each child is a contiguous run once the pivots are
+    taken out.  The left child of ``v`` is ``v + 1``, the right ``v + 1 + |low|``.
     """
     n, dim = points.shape
     point = np.empty(n, dtype=np.int64)
@@ -104,8 +104,7 @@ def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
         inner = size > 1
         dims = np.zeros(len(size), dtype=np.int64)
         if dim > 1 and inner.any():  # in one dimension there is nothing to choose
-            variances = _variances(points, perm, start[inner], size[inner])
-            dims[inner] = np.argmax(variances, axis=1)
+            dims[inner] = np.argmax(_variances(points, perm, start[inner], size[inner]), axis=1)
         seg = np.repeat(np.arange(len(size)), size)
         coords = points[perm, dims[seg]]
         order = np.lexsort((perm, coords, seg))
@@ -138,28 +137,19 @@ def _variances(
     """Per-dimension variance of each segment ``perm[start:start + size]``,
     one row per segment, bit-equal to ``points[segment].var(axis=0)``.
 
-    ``var`` sums the rows of a segment down axis 0 one after another.  Here
-    the segments of one power-of-two length class sit side by side in a
-    zero-padded ``(length, segments * dim)`` block that is summed down axis
-    0 the same way; the padding adds +0.0 after a segment's rows, which
-    changes no variance.  (Segment sums by ``np.add.reduceat`` come out in
-    another order and other bits.)
+    The segments of one length sit side by side in a ``(length, segments,
+    dim)`` block that takes ``var``'s own steps, so each segment's rows are
+    summed down axis 0 one after another, as ``var`` sums them (sums by
+    ``np.add.reduceat`` come in another order and other bits).  Tie-free
+    data gives at most two lengths per level.
     """
-    dim = points.shape[1]
-    out = np.empty((len(size), dim))
-    length_class = np.frexp(size - 1.0)[1]  # 2**class >= size
-    for c in sorted(set(length_class.tolist())):
-        sel = np.flatnonzero(length_class == c)
-        rows = np.arange(1 << c)[:, None]
-        pad = rows >= size[sel]
-        block = points[perm[np.where(pad, 0, start[sel] + rows)]]
-        block[pad] = 0.0
-        block = block.reshape(len(rows), -1)
-        count = np.repeat(size[sel], dim)
-        block -= block.sum(axis=0) / count
+    out = np.empty((len(size), points.shape[1]))
+    for length in np.unique(size).tolist():
+        sel = np.flatnonzero(size == length)
+        block = points[perm[start[sel] + np.arange(length)[:, None]]]
+        block -= block.sum(axis=0) / length
         block *= block
-        block.reshape(len(rows), len(sel), dim)[pad] = 0.0
-        out[sel] = (block.sum(axis=0) / count).reshape(len(sel), dim)
+        out[sel] = block.sum(axis=0) / length
     return out
 
 
@@ -324,10 +314,12 @@ def _width(count: int) -> int:
     return count if count >= 1024 else max(2, 1 << (count - 1).bit_length())
 
 
-def _check_k(n: int, k: int) -> None:
-    """ValueError unless 1 <= k <= n - 1, for k neighbours among n points."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+def _check_count(name: str, value: int, top: int) -> None:
+    """ValueError unless ``value`` (k, n_centers) is an integer in [1, top]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= value <= top:
+        raise ValueError(f"{name} must be in [1, {top}], got {value}")
 
 
 def _records(indices: np.ndarray, distances: np.ndarray) -> np.recarray:
@@ -350,7 +342,7 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     k-th-best distance.  The ledger records the union of the pairs the
     queries evaluated, each counted once.
     """
-    _check_k(tree.dataset.n, k)
+    _check_count("k", k, tree.dataset.n - 1)
     indices, distances, keys = _lockstep_knn(tree, np.arange(tree.dataset.n), k)
     return _records(indices, distances), SparseDistanceMatrix(tree.dataset.points, tree, keys)
 

@@ -217,6 +217,32 @@ def test_bench_custom_suite_and_failure_recording(tmp_path, capsys):
     )
 
 
+def test_bench_cell_without_algorithm_reports_the_one_it_ran(tmp_path, capsys):
+    """A cell that names no algorithm runs sktdpc, and a failure of it is
+    recorded as sktdpc too; a float k is rejected by name."""
+    suite = tmp_path / "suite.json"
+    suite.write_text('[{"dataset": "flame", "k": 3.5}, {"dataset": "flame", "k": 3}]')
+    out = tmp_path / "rep.txt"
+    assert main(["bench", "--suite", str(suite), "--output", str(out)]) == 1
+    text = out.read_text()
+    assert text.startswith(
+        "[run]\n"
+        "dataset = flame\n"
+        "algorithm = sktdpc\n"
+        "n = 0\n"
+        "features = 0\n"
+        "normalize = \n"
+        "error = ValueError: k must be an integer, got 3.5\n"
+        "[run]\n"
+        "dataset = flame\n"
+        "algorithm = sktdpc\n"
+        "param_k = 3\n"
+    )
+    assert capsys.readouterr().err == (
+        "FAILED flame/sktdpc: ValueError: k must be an integer, got 3.5\n"
+    )
+
+
 def test_bench_suite_of_non_objects_exit_2(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text('["flame"]')

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 
 from conftest import adversarial, random_dataset
 from sktdpc import core
-from sktdpc.baseline import brute_separation, full_matrix, sktdpc_reference
+from sktdpc.baseline import (
+    brute_knn_all,
+    brute_separation,
+    dpc_original,
+    full_matrix,
+    sktdpc_reference,
+)
 from sktdpc.dataset import Dataset
 from sktdpc.kdtree import _records, build, knn_all
 from sktdpc.sparse import SparseDistanceMatrix
@@ -389,6 +396,40 @@ def test_run_sktdpc_rejects_bad_k(two_blobs):
         core.run_sktdpc(two_blobs, 0)
     with pytest.raises(ValueError, match=rf"^k must be in \[1, {top}\], got 300$"):
         core.run_sktdpc(two_blobs, 300)
+
+
+@pytest.mark.parametrize(
+    "run, k, n_centers, message",
+    [
+        (core.run_sktdpc, 7.5, None, "k must be an integer, got 7.5"),
+        (core.run_sktdpc, True, None, "k must be an integer, got True"),
+        (core.run_sktdpc, np.float64(5), None, "k must be an integer, got np.float64(5.0)"),
+        (core.run_sktdpc, 5, True, "n_centers must be an integer, got True"),
+        (core.run_sktdpc, 5, 2.0, "n_centers must be an integer, got 2.0"),
+        (sktdpc_reference, 3.5, None, "k must be an integer, got 3.5"),
+        (sktdpc_reference, 5, np.True_, "n_centers must be an integer, got np.True_"),
+        pytest.param(lambda d, k, n_centers: knn_all(build(d), k), 2.5, None,
+                     "k must be an integer, got 2.5", id="knn_all"),
+        pytest.param(lambda d, k, n_centers: brute_knn_all(full_matrix(d), k), False, None,
+                     "k must be an integer, got False", id="brute_knn_all"),
+        pytest.param(lambda d, k, n_centers: dpc_original(d, 1.0, n_centers), None, True,
+                     "n_centers must be an integer, got True", id="dpc_original-bool"),
+        pytest.param(lambda d, k, n_centers: dpc_original(d, 1.0, n_centers), None, 1.5,
+                     "n_centers must be an integer, got 1.5", id="dpc_original-float"),
+    ],
+)
+def test_k_and_n_centers_must_be_integers(two_blobs, run, k, n_centers, message):
+    """A bool or a float is no count: a ValueError names the parameter."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(two_blobs, k, n_centers=n_centers)
+
+
+def test_numpy_integer_counts_are_accepted(two_blobs):
+    res = core.run_sktdpc(two_blobs, np.int64(5), n_centers=np.int32(2))
+    assert np.array_equal(res.labels, core.run_sktdpc(two_blobs, 5, n_centers=2).labels)
+    assert dpc_original(two_blobs, 1.0, np.int64(2)).centers == dpc_original(two_blobs, 1.0, 2).centers
+    with pytest.raises(ValueError, match=r"^n_centers must be in \[1, 300\], got 301$"):
+        dpc_original(two_blobs, 1.0, np.int64(301))
 
 
 def test_run_sktdpc_identical_points_equals_reference():

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,45 @@ def test_load_flame_fixture():
     assert d.n == 240
     assert d.dim == 2
     assert len(set(d.labels.tolist())) == 2
+
+
+def _prepare_ecoli(directory, dim):
+    """A stand-in for the prepared ecoli file: 336 rows, ``dim`` features, a label."""
+    rng = np.random.default_rng(3)
+    d = Dataset(rng.random((336, dim)), rng.integers(0, 8, 336), "ecoli")
+    save(d, directory / "ecoli.txt")
+    return d
+
+
+def test_load_named_reads_a_prepared_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SKTDPC_DATA_DIR", str(tmp_path))
+    want = _prepare_ecoli(tmp_path, 7)
+    d = registry.load_named("ecoli")
+    assert (d.name, d.n, d.dim) == ("ecoli", 336, 7)
+    assert np.array_equal(d.points, want.points)
+    # labels are recoded on load; the partition stays
+    pairs = set(zip(d.labels.tolist(), want.labels.tolist()))
+    assert len(pairs) == len(set(want.labels.tolist())) == len(set(d.labels.tolist()))
+
+
+def test_load_named_missing_prepared_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SKTDPC_DATA_DIR", str(tmp_path))
+    with pytest.raises(FileNotFoundError, match=f"at {re.escape(str(tmp_path / 'ecoli.txt'))}$"):
+        registry.load_named("ecoli")
+
+
+def test_load_named_rejects_a_prepared_file_of_the_wrong_shape(tmp_path, monkeypatch):
+    monkeypatch.setenv("SKTDPC_DATA_DIR", str(tmp_path))
+    _prepare_ecoli(tmp_path, 6)
+    with pytest.raises(RuntimeError, match=r"^dataset ecoli: expected 336x7, got 336x6$"):
+        registry.load_named("ecoli")
+
+
+def test_load_named_rejects_a_bundled_fixture_with_the_wrong_hash(monkeypatch):
+    info = dataclasses.replace(registry.REGISTRY["flame"], sha256="0" * 64)
+    monkeypatch.setitem(registry.REGISTRY, "flame", info)
+    with pytest.raises(RuntimeError, match=r"^bundled fixture for flame failed its hash check$"):
+        registry.load_named("flame")
 
 
 def test_load_single_row_no_label(tmp_path):
