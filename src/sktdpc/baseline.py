@@ -7,6 +7,7 @@ the sparse pipeline for equivalence testing.  Nothing is approximated.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -98,8 +99,8 @@ def dpc_original(
     Centers are the top ``n_centers`` decision values, standing in for the
     manual pick off the decision graph.
     """
-    if dc <= 0:
-        raise ValueError("dc must be positive")
+    if not (math.isfinite(dc) and dc > 0):
+        raise ValueError(f"dc must be a positive finite number, got {dc}")
     _check_count("n_centers", n_centers, d.n)
     t0 = time.perf_counter()
     m = full_matrix(d)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .kdtree import _check_count, build, knn_all, nearest_denser_query, subtree_min_rank
+from .kdtree import _check_count, build, knn_all, nearest_denser_all
 from .sparse import SparseDistanceMatrix
 
 
@@ -101,12 +101,12 @@ def relative_separation(
     point.  For any other point, if some k-nearest neighbor is denser, the
     first such neighbor is the answer and no new distance is computed: that
     is the first True of ``rank[indices] < rank[:, None]`` along its row.
-    Otherwise (a fallback point) an exact nearest-denser query runs on the
-    k-d tree the cache was filled from (``cache.tree``, set by
-    :func:`~sktdpc.kdtree.knn_all`), pruning subtrees with no denser point;
-    the paper scans every denser point here instead, and the query's pairs
-    are a subset of that scan's.  Fallback points run in density order, and
-    ties break on ascending index.
+    The rest (the fallback points) go, in density order, to one exact
+    nearest-denser search on the k-d tree the cache was filled from
+    (``cache.tree``, set by :func:`~sktdpc.kdtree.knn_all`), which prunes
+    subtrees with no denser point; the paper scans every denser point here
+    instead, and the search's pairs are a subset of that scan's.  Ties break
+    on ascending index.
     """
     tree = cache.tree
     if tree is None:
@@ -124,13 +124,7 @@ def relative_separation(
     densest = int(density_order[0])
     separation[densest] = cache.distances(densest, np.flatnonzero(rows != densest)).max(initial=0.0)
     fallback = density_order[1:][~hit[density_order[1:]]]
-    if len(fallback):
-        rank = rank.tolist()  # the scalar query reads a list faster
-        min_rank = subtree_min_rank(tree, rank)
-        for i in fallback.tolist():
-            separation[i], nearest_denser[i] = nearest_denser_query(
-                tree, i, rank, min_rank, cache
-            )
+    separation[fallback], nearest_denser[fallback] = nearest_denser_all(tree, fallback, rank, cache)
     return separation, nearest_denser
 
 

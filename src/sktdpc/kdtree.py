@@ -18,10 +18,11 @@ as one record array whose ``indices`` and ``distances`` fields are (n, k)
 arrays, and the keys of every pair evaluated on the way build the
 :class:`~sktdpc.sparse.SparseDistanceMatrix` that downstream stages reuse.
 
-The nearest-denser query finds, for one point, the closest point of smaller
-density rank.  Besides the hyperplane bound it skips every subtree whose
-smallest rank (:func:`subtree_min_rank`) is not smaller than the query's,
-as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD 2021).
+The nearest-denser search finds, for all the points it is given in one
+call, the closest point of smaller density rank.  Besides the hyperplane
+bound it skips every subtree whose smallest rank (:func:`subtree_min_rank`)
+is not smaller than the query's, as in the dependent-point search of Ex-DPC
+(Amagata & Hara, SIGMOD 2021).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class KdTree:
         for a in arrays:
             a.setflags(write=False)
         self.point, self.split_dim, self.split_value, self.left, self.right = arrays
-        self._nodes = tuple(a.tolist() for a in arrays)
 
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path."""
@@ -58,7 +58,9 @@ class KdTree:
 
     def dump(self) -> str:
         """Indented text rendering of the tree structure, for golden tests."""
-        point, split_dim, split_value, left, right = self._nodes
+        point, split_dim, split_value, left, right = (
+            a.tolist() for a in (self.point, self.split_dim, self.split_value, self.left, self.right)
+        )
         out: list[str] = []
         stack = [(0, 0)]
         while stack:
@@ -347,65 +349,68 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     return _records(indices, distances), SparseDistanceMatrix(tree.dataset.points, tree, keys)
 
 
-def subtree_min_rank(tree: KdTree, rank: list[int]) -> list[int]:
+def subtree_min_rank(tree: KdTree, rank: np.ndarray) -> np.ndarray:
     """Smallest ``rank`` of a point in the subtree under each node, indexed
-    by node.  One O(n) pass."""
-    point, _, _, left, right = tree._nodes
-    low = [rank[p] for p in point]
-    for v in range(len(low) - 1, -1, -1):  # preorder: children after their parent
-        m = low[v]
-        child = left[v]
-        if child >= 0 and low[child] < m:
-            m = low[child]
-        child = right[v]
-        if child >= 0 and low[child] < m:
-            m = low[child]
-        low[v] = m
-    return low
+    by node.
+
+    In preorder a subtree is the run of nodes from its root to the leaf
+    reached by taking the right child, else the left, all the way down.
+    Pointer doubling on that child finds where every run ends, and one
+    ``np.minimum.reduceat`` over the runs takes their minima."""
+    n = len(tree.point)
+    last = np.where(tree.left >= 0, tree.left, np.arange(n))
+    last = np.where(tree.right >= 0, tree.right, last)
+    while not np.array_equal(further := last[last], last):  # doubles the steps taken
+        last = further
+    # runs [v, last[v] + 1) between gaps; the appended slot closes the last run
+    bounds = np.column_stack((np.arange(n), last + 1)).ravel()
+    low = np.append(rank[tree.point], 0)
+    return np.minimum.reduceat(low, bounds)[::2]
 
 
-def nearest_denser_query(
-    tree: KdTree,
-    target: int,
-    rank: list[int],
-    min_rank: list[int],
-    cache: SparseDistanceMatrix,
-) -> tuple[float, int]:
-    """Exact nearest point of smaller rank than ``target``, as (distance, index).
+def nearest_denser_all(
+    tree: KdTree, targets: np.ndarray, rank: np.ndarray, cache: SparseDistanceMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest point of smaller ``rank`` than each of ``targets``, as
+    two arrays: the distances and the indices; ``(inf, -1)`` for a target of
+    the smallest rank.  Equal distances go to the lower index.
 
-    ``min_rank`` is :func:`subtree_min_rank` of the same ``rank``.  Equal
-    distances go to the lower index.  A subtree is skipped when it holds no
-    point of smaller rank, or when the target-to-hyperplane distance is
-    strictly greater than the best distance found, so an equidistant point
-    of lower index across the plane is still reached.  Distances are
-    evaluated through ``cache.distance(target, j)``.  Returns
-    ``(inf, -1)`` when ``target`` has the smallest rank.
+    Each target in turn walks the tree depth first, near child first,
+    skipping a subtree that holds no point of smaller rank
+    (:func:`subtree_min_rank`) or whose hyperplane is strictly farther than
+    the best distance found, so an equidistant point of lower index across
+    the plane is still reached.  Every point of smaller rank visited is
+    evaluated through ``cache.distance(target, j)``.
     """
-    point, split_dim, split_value, left, right = tree._nodes
-    coords = tree.dataset.points[target].tolist()
+    min_rank = subtree_min_rank(tree, rank).tolist()
+    point, split_dim, split_value, left, right = (
+        a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    )
+    rank = rank.tolist()
     distance = cache.distance
-    r = rank[target]
-    best_d, best_j = math.inf, -1
-    stack = [(0, 0.0)]  # (node, lower bound on distances in its subtree)
-    while stack:
-        v, bound = stack.pop()
-        if min_rank[v] >= r or bound > best_d:
-            continue
-        idx = point[v]
-        if rank[idx] < r:
-            d = distance(target, idx)
-            if best_j < 0 or d < best_d or (d == best_d and idx < best_j):
-                best_d, best_j = d, idx
-        dim = split_dim[v]
-        if dim < 0:
-            continue
-        diff = coords[dim] - split_value[v]
-        if diff <= 0.0:
-            near, far = left[v], right[v]
-        else:
-            near, far = right[v], left[v]
-        if far >= 0:
-            stack.append((far, -diff if diff <= 0.0 else diff))
-        if near >= 0:
-            stack.append((near, bound))
-    return best_d, best_j
+    out_d, out_j = np.full(len(targets), np.inf), np.full(len(targets), -1, dtype=np.int64)
+    coords_of = tree.dataset.points[targets].tolist()
+    for t, (target, coords) in enumerate(zip(targets.tolist(), coords_of)):
+        r = rank[target]
+        best_d, best_j = math.inf, -1
+        stack = [(0, 0.0)]  # (node, lower bound on distances in its subtree)
+        while stack:
+            v, bound = stack.pop()
+            if min_rank[v] >= r or bound > best_d:
+                continue
+            idx = point[v]
+            if rank[idx] < r:
+                d = distance(target, idx)
+                if best_j < 0 or d < best_d or (d == best_d and idx < best_j):
+                    best_d, best_j = d, idx
+            dim = split_dim[v]
+            if dim < 0:
+                continue
+            diff = coords[dim] - split_value[v]
+            near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
+            if far >= 0:
+                stack.append((far, abs(diff)))
+            if near >= 0:
+                stack.append((near, bound))
+        out_d[t], out_j[t] = best_d, best_j
+    return out_d, out_j

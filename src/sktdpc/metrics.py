@@ -8,6 +8,7 @@ five indices are 1 for a perfect match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +167,7 @@ def ami(t: ContingencyTable) -> float:
 def fmi(t: ContingencyTable) -> float:
     """Fowlkes-Mallows index: matched pairs over the geometric mean of pair counts."""
     index, sum_rows, sum_cols = _pair_counts(t)
-    denom = np.sqrt(sum_rows) * np.sqrt(sum_cols)
+    denom = math.sqrt(sum_rows * sum_cols)  # exact integer product, one rounding
     if denom == 0.0:
         return 1.0 if _identical_partitions(t) else 0.0
     return float(min(index / denom, 1.0))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from math import sqrt
+from operator import index
 
 import numpy as np
 
@@ -39,15 +40,15 @@ class SparseDistanceMatrix:
     are serialised by a lock.
     """
 
-    __slots__ = ("_points", "_columns", "_n", "_block", "_block_pairs", "_extra", "_lock",
-                 "tree")
+    __slots__ = ("_columns", "_column_lists", "_n", "_block", "_block_pairs", "_extra",
+                 "_lock", "tree")
 
     def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
         """A ledger over ``points`` recording every pair in ``keys`` (int64
         ``lo * n + hi``, any order, repeats allowed; sorted in place)."""
         pts = np.asarray(points, dtype=np.float64)
-        self._points = [tuple(row) for row in pts.tolist()]
         self._columns = np.ascontiguousarray(pts.T)
+        self._column_lists = self._columns.tolist()  # the scalar reads index lists faster
         self._n = pts.shape[0]
         keys = np.asarray(() if keys is None else keys, dtype=np.int64)
         keys.sort()
@@ -67,7 +68,9 @@ class SparseDistanceMatrix:
         return len(self)
 
     def _key(self, i: int, j: int) -> int:
-        """Key of the pair (i, j); IndexError unless both lie in [0, n)."""
+        """Key of the pair (i, j); TypeError unless both are integers,
+        IndexError unless both lie in [0, n)."""
+        i, j = index(i), index(j)
         n = self._n
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"point index out of range [0, {n}): ({i}, {j})")
@@ -81,8 +84,8 @@ class SparseDistanceMatrix:
 
     def _compute(self, i: int, j: int) -> float:
         s = 0.0
-        for a, b in zip(self._points[i], self._points[j]):
-            t = a - b
+        for column in self._column_lists:
+            t = column[i] - column[j]
             s += t * t
         return sqrt(s)
 
@@ -99,7 +102,10 @@ class SparseDistanceMatrix:
     def distances(self, i: int, js: np.ndarray) -> np.ndarray:
         """Euclidean distances from point i to each of the points ``js``,
         recording the pairs: the vector twin of :meth:`distance`."""
-        js = np.asarray(js, dtype=np.int64)
+        i, js = index(i), np.asarray(js)
+        if len(js) and js.dtype.kind not in "iu":
+            raise TypeError(f"point indices must be integers, got dtype {js.dtype}")
+        js = js.astype(np.int64, copy=False)
         n = self._n
         if not 0 <= i < n or len(js) and not (0 <= js.min() and js.max() < n):
             raise IndexError(f"point index out of range [0, {n}): {i} or one of js")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,13 @@ def test_dpc_rejects_bad_params():
         dpc_original(d, dc=1.0, n_centers=3)
     with pytest.raises(ValueError):
         dpc_original(d, dc=1.0, n_centers=1, kernel="sombrero")
+
+
+@pytest.mark.parametrize("dc", [math.nan, math.inf, -math.inf, -1.0])
+def test_dpc_rejects_dc_that_is_not_positive_and_finite(dc):
+    d = Dataset(np.array([[0.0], [1.0], [3.0]]))
+    with pytest.raises(ValueError, match="dc must be a positive finite number"):
+        dpc_original(d, dc=dc, n_centers=1)
 
 
 def test_cutoff_distance_percentile():

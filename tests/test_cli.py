@@ -313,3 +313,10 @@ def test_cluster_classic_dpc_algorithm(tmp_path, capsys):
 def test_cluster_dpc_requires_dc(capsys):
     rc = main(["cluster", "spiral", "--algorithm", "dpc", "--n-centers", "3"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("dc", ["nan", "inf", "0", "-1"])
+def test_cluster_dpc_rejects_dc_that_is_not_positive_and_finite(dc, capsys):
+    rc = main(["cluster", "flame", "--algorithm", "dpc", "--dc", dc, "--n-centers", "2"])
+    assert rc == 2
+    assert "dc must be a positive finite number" in capsys.readouterr().err

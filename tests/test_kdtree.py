@@ -11,7 +11,7 @@ from conftest import adversarial, random_dataset
 from sktdpc.baseline import brute_knn_all, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
 from sktdpc import kdtree
-from sktdpc.kdtree import build, knn_all, nearest_denser_query, subtree_min_rank
+from sktdpc.kdtree import build, knn_all, nearest_denser_all, subtree_min_rank
 from sktdpc.sparse import SparseDistanceMatrix
 
 
@@ -205,6 +205,33 @@ def test_cache_rejects_indices_outside_the_points(i, j):
     assert cache.pairs() == {(0, 2)} and cache.evaluations == 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: c.distance(1.5, 2),
+        lambda c: c.distance(1, 2.0),
+        lambda c: c.get(0.5, 1),
+        lambda c: c.distances(1.5, np.array([2])),
+        lambda c: c.distances(1, np.array([2.7])),
+        lambda c: c.distances(1, [0, 2.0]),
+    ],
+)
+def test_cache_rejects_non_integer_indices_and_records_nothing(call):
+    cache = SparseDistanceMatrix(np.array([[0.0], [1.0], [5.0]]))
+    with pytest.raises(TypeError):
+        call(cache)
+    assert len(cache) == 0 and cache.pairs() == set()
+
+
+def test_cache_takes_numpy_integers_and_empty_index_arrays():
+    cache = SparseDistanceMatrix(np.array([[0.0], [1.0], [5.0]]))
+    assert cache.distance(np.int64(0), np.int32(2)) == 5.0
+    assert cache.distances(np.int64(1), np.array([], dtype=float)).tolist() == []
+    assert cache.distances(1, []).tolist() == []
+    assert cache.distances(1, np.array([2], dtype=np.uint8)).tolist() == [4.0]
+    assert cache.pairs() == {(0, 2), (1, 2)}
+
+
 def test_knn_all_deterministic(two_blobs):
     tree = build(two_blobs)
     neighbors_a, cache_a = knn_all(tree, 6)
@@ -307,12 +334,13 @@ def test_nearest_denser_query_matches_scan_with_ties(make):
     rng = np.random.default_rng(7)
     tied = zero_tied = 0
     for _ in range(5):
-        rank = rng.permutation(d.n).tolist()
-        low = subtree_min_rank(tree, rank)
+        rank = rng.permutation(d.n)
         cache = SparseDistanceMatrix(d.points)
+        got_d, got_j = nearest_denser_all(tree, np.arange(d.n), rank, cache)
+        assert got_d.dtype == np.float64 and got_j.dtype == np.int64
         for i in range(d.n):
             denser = [j for j in range(d.n) if rank[j] < rank[i]]
-            got = nearest_denser_query(tree, i, rank, low, cache)
+            got = (float(got_d[i]), int(got_j[i]))
             if not denser:
                 assert got == (math.inf, -1)
                 continue
@@ -323,6 +351,40 @@ def test_nearest_denser_query_matches_scan_with_ties(make):
             zero_tied += ties and want[0] == 0.0
     assert tied > 0
     assert (zero_tied > 0) == (make is _coincident)
+
+
+def reference_subtree_min_rank(tree, rank):
+    """The per-node loop the preorder-run minimum replaced, kept as its
+    oracle: children come after their parent in preorder, so one backward
+    pass sees every child's minimum before its parent's."""
+    point, left, right = tree.point.tolist(), tree.left.tolist(), tree.right.tolist()
+    low = [int(rank[p]) for p in point]
+    for v in range(len(low) - 1, -1, -1):
+        for child in (left[v], right[v]):
+            if child >= 0 and low[child] < low[v]:
+                low[v] = low[child]
+    return low
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.random.default_rng(20).uniform(size=(300, 2)),
+        np.random.default_rng(21).uniform(size=(257, 5)),
+        _lattice().points,
+        _coincident().points,
+        np.zeros((1500, 2)),
+        np.array([[4.0, 2.0]]),
+        np.array([[0.0], [1.0]]),
+    ],
+    ids=["uniform-2d", "uniform-5d", "lattice", "coincident", "identical-1500", "n1", "n2"],
+)
+def test_subtree_min_rank_equals_per_node_loop(points):
+    d = Dataset(points)
+    tree = build(d)
+    rng = np.random.default_rng(22)
+    for rank in (np.arange(d.n), np.arange(d.n)[::-1].copy(), rng.permutation(d.n)):
+        assert subtree_min_rank(tree, rank).tolist() == reference_subtree_min_rank(tree, rank)
 
 
 def reference_knn_query(tree, target, k, cache):

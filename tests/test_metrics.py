@@ -63,6 +63,14 @@ def test_identical_partitions_score_one_everywhere():
         assert abs(value - 1.0) < 1e-12, name
 
 
+@pytest.mark.parametrize(
+    "truth, pred",
+    [([0, 0, 1, 1], [5, 5, -1, -1]), ([0, 0, 0, 1, 1, 1, 2, 2], [1, 1, 1, 0, 0, 0, 2, 2])],
+)
+def test_fmi_of_relabelled_identical_partitions_is_exactly_one(truth, pred):
+    assert fmi(contingency(truth, pred)) == 1.0
+
+
 def test_ari_hand_example():
     t = contingency([0, 0, 1, 1], [0, 1, 0, 1])
     assert abs(ari(t) - (-0.5)) < 1e-12
