@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .sparse import SparseDistanceMatrix
+from .sparse import SparseDistanceMatrix, key_dtype
 
 
 class KdTree:
@@ -166,8 +166,10 @@ def _lockstep_knn(
     """Exact k nearest neighbors of every point in ``targets``.
 
     Returns ``(indices, distances, keys)``: two ``(len(targets), k)`` arrays,
-    each row ascending by (distance, index), and the int64 key
-    ``lo * n + hi`` of every pair evaluated, repeats included.
+    each row ascending by (distance, index), and the key ``lo * n + hi`` of
+    every pair evaluated, repeats included, of dtype
+    :func:`~sktdpc.sparse.key_dtype`; a step computes its keys in int64 and
+    narrows them only as it stores them.
 
     All queries advance together, one stack pop each per step.  A query's
     pops are those of the depth-first search that visits the near child
@@ -208,7 +210,7 @@ def _lockstep_knn(
     # row m takes the lanes that pad the first width
     indices = np.empty((m + 1, k), dtype=np.int64)
     distances = np.empty((m + 1, k))
-    keys = np.empty(8 * m, dtype=np.int64)
+    keys = np.empty(8 * m, dtype=key_dtype(n))
     n_keys = 0
 
     width = _width(m)
@@ -251,7 +253,7 @@ def _lockstep_knn(
             pair = pair.compress(visit)
             count = len(pair)
             if n_keys + count > len(keys):
-                grown = np.empty(2 * (n_keys + count), dtype=np.int64)
+                grown = np.empty(2 * (n_keys + count), dtype=keys.dtype)
                 grown[:n_keys] = keys[:n_keys]
                 keys = grown
             keys[n_keys : n_keys + count] = pair
@@ -342,7 +344,9 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     ties go to the lower point index.  A subtree is skipped only when the
     target-to-splitting-hyperplane distance already exceeds the current
     k-th-best distance.  The ledger records the union of the pairs the
-    queries evaluated, each counted once.
+    queries evaluated, each counted once, from one sorted block of their
+    keys: int32 while n * n < 2**31, else int64
+    (:func:`~sktdpc.sparse.key_dtype`).
     """
     _check_count("k", k, tree.dataset.n - 1)
     indices, distances, keys = _lockstep_knn(tree, np.arange(tree.dataset.n), k)

@@ -9,11 +9,15 @@ would.  A ledger filled by :func:`sktdpc.kdtree.knn_all` also carries the
 tree it was filled from, so the separation pass can search that tree
 without rebuilding it.
 
-A pair ``(lo, hi)``, ``lo < hi``, is keyed by the int64 ``lo * n + hi``.
-The k-NN search hands its keys to the constructor in bulk, a pair it
-evaluated from both ends once per end; they live in one sorted key array,
-repeats and all, set once and never merged into, beside the count of the
-distinct keys in it.  Pairs evaluated later, one at a time
+A pair ``(lo, hi)``, ``lo < hi``, is keyed by ``lo * n + hi``: an int32
+while ``n * n < 2**31`` (n <= 46340), so every key fits, and an int64 above
+that (:func:`key_dtype`), which halves the bytes of the bulk keys at all
+but the largest n.  The k-NN search hands its keys to the constructor in
+bulk, a pair it evaluated from both ends once per end; they live in one
+sorted key array, repeats and all, set once and never merged into, beside
+the count of the distinct keys in it.  A lookup casts its probe keys to
+that array's dtype, as ``searchsorted`` would otherwise copy the whole
+array to int64 on every call.  Pairs evaluated later, one at a time
 (:meth:`distance`) or all of one point's at once (:meth:`distances`), go
 into a set.
 """
@@ -27,13 +31,21 @@ from operator import index
 import numpy as np
 
 
+def key_dtype(n: int) -> type[np.signedinteger]:
+    """dtype of the pair keys ``lo * n + hi`` over n points: int32 while
+    ``n * n < 2**31``, so every key (at most ``n * n - n - 1``) fits, else
+    int64."""
+    return np.int32 if n * n < 2**31 else np.int64
+
+
 class SparseDistanceMatrix:
     """Ledger of the point-index pairs whose distance has been evaluated.
 
     ``distance(i, j)`` evaluates a pair and records it; the evaluation
     counter is the number of distinct pairs recorded, however often each is
     read or handed over (the bulk keys keep their repeats, and their
-    distinct count is taken once, on construction).  Squared differences
+    distinct count is taken once, on construction); the bulk keys are one
+    sorted array of :func:`key_dtype`.  Squared differences
     are summed dimension by dimension, in the order ``baseline.full_matrix``
     uses, so every distance is bit-identical to it.  ``tree`` is the k-d
     tree over the same points, or None.  Threads may share a ledger: writes
@@ -44,13 +56,22 @@ class SparseDistanceMatrix:
                  "_lock", "tree")
 
     def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
-        """A ledger over ``points`` recording every pair in ``keys`` (int64
-        ``lo * n + hi``, any order, repeats allowed; sorted in place)."""
+        """A ledger over ``points`` recording every pair in ``keys``
+        (integers ``lo * n + hi``, any order, repeats allowed; sorted in
+        place when already of dtype ``key_dtype(n)``, else copied to it).
+        ValueError names a key outside [0, n * n)."""
         pts = np.asarray(points, dtype=np.float64)
         self._columns = np.ascontiguousarray(pts.T)
         self._column_lists = self._columns.tolist()  # the scalar reads index lists faster
-        self._n = pts.shape[0]
-        keys = np.asarray(() if keys is None else keys, dtype=np.int64)
+        n = self._n = pts.shape[0]
+        keys = np.asarray((), dtype=np.int64) if keys is None else np.asarray(keys)
+        if len(keys) and keys.dtype.kind not in "iu":
+            raise TypeError(f"pair keys must be integers, got dtype {keys.dtype}")
+        # range first: narrowing would wrap an outside key onto a real pair
+        if len(keys) and (keys.min() < 0 or keys.max() >= n * n):
+            bad = keys[(keys < 0) | (keys >= n * n)][0]
+            raise ValueError(f"pair key out of range [0, {n * n}): {bad}")
+        keys = keys.astype(key_dtype(n), copy=False)
         keys.sort()
         self._block = keys  # sorted, repeats kept; none of them in _extra
         # distinct keys: a sorted array repeats a key in adjacent slots
@@ -79,7 +100,7 @@ class SparseDistanceMatrix:
     def _stored(self, key: int) -> bool:
         if key in self._extra:
             return True
-        p = self._block.searchsorted(key)
+        p = self._block.searchsorted(self._block.dtype.type(key))  # never widen the block
         return p < len(self._block) and self._block.item(p) == key
 
     def _compute(self, i: int, j: int) -> float:
@@ -115,7 +136,7 @@ class SparseDistanceMatrix:
             t *= t
             out += t
         np.sqrt(out, out=out)
-        keys = np.where(js < i, js * n + i, i * n + js)[js != i]
+        keys = np.where(js < i, js * n + i, i * n + js)[js != i].astype(self._block.dtype)
         if len(self._block):
             p = np.minimum(self._block.searchsorted(keys), len(self._block) - 1)
             keys = keys[self._block[p] != keys]

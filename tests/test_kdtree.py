@@ -2,6 +2,7 @@ import ast
 import heapq
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,18 +490,25 @@ def test_identical_points_build_and_search_without_recursion():
     assert len(cache) == 1500 * 1499 // 2
 
 
-def test_cache_keys_at_large_n_do_not_overflow():
-    """Keys ``lo * n + hi`` pass 2**31 at n = 100 000; no int32 step may wrap."""
-    n = 100_000
+@pytest.mark.parametrize("n", [46_340, 46_341, 100_000])
+def test_cache_keys_at_large_n_do_not_overflow(n):
+    """Keys ``lo * n + hi`` are int32 while n * n < 2**31 (at n = 46 340 the
+    largest is 2 147 349 259) and int64 from n = 46 341; they pass 2**31 at
+    n = 100 000.  No step may wrap, and every read agrees at the edge."""
     pairs = {(n - 2, n - 1), (0, n - 1), (n - 3, n - 1), (1, 2)}
     keys = np.array([lo * n + hi for lo, hi in pairs], dtype=np.int64)
-    assert keys.max() > np.iinfo(np.int32).max
+    assert keys.max() == n * n - n - 1
+    assert (keys.max() > np.iinfo(np.int32).max) == (n == 100_000)
     points = np.arange(n, dtype=float)[:, None]
     cache = SparseDistanceMatrix(points, keys=np.concatenate([keys, keys[::-1]]))
+    assert cache._block.dtype == (np.int32 if n <= 46_340 else np.int64)
+    assert cache._block.max() == n * n - n - 1
     assert cache.pairs() == pairs
     for lo, hi in pairs:
         assert cache.get(hi, lo) == cache.get(lo, hi) == hi - lo
         assert (hi, lo) in cache
+    assert cache.distances(n - 1, np.array([n - 2, 0, n - 3])).tolist() == [1.0, n - 1, 2.0]
+    assert len(cache) == cache.evaluations == 4
     assert cache.distance(n - 1, n - 4) == 3.0
     assert cache.pairs() == pairs | {(n - 4, n - 1)}
     assert len(cache) == cache.evaluations == 5
@@ -508,6 +516,56 @@ def test_cache_keys_at_large_n_do_not_overflow():
     # every bulk key came twice; a repeat must not pass for a new pair
     cache.distances(n - 1, np.array([n - 2, 0, n - 3, n - 4, n - 5]))
     assert len(cache) == cache.evaluations == 6
+    assert cache.pairs() == pairs | {(n - 4, n - 1), (n - 5, n - 1)}
+
+
+@pytest.mark.parametrize("key", [-1, 100, 2**31, 2**32 + 1])
+def test_cache_rejects_keys_outside_the_pair_range(key):
+    """A bulk key outside [0, n * n) raises, naming it, before the keys are
+    narrowed: at n = 10, 2**32 + 1 would wrap to the int32 key 1, pair (0, 1)."""
+    points = np.arange(10, dtype=float)[:, None]
+    with pytest.raises(ValueError, match=f": {key}$"):
+        SparseDistanceMatrix(points, keys=np.array([12, key, 3], dtype=np.int64))
+    with pytest.raises(TypeError):
+        SparseDistanceMatrix(points, keys=np.array([1.0]))
+    assert SparseDistanceMatrix(points, keys=np.array([89, 1])).pairs() == {(8, 9), (0, 1)}
+
+
+def test_knn_all_ledger_keys_are_int32_on_small_input(two_blobs):
+    _, _, keys = kdtree._lockstep_knn(build(two_blobs), np.arange(two_blobs.n), 4)
+    assert keys.dtype == np.int32
+    _, cache = knn_all(build(two_blobs), 4)
+    assert cache._block.dtype == np.int32
+    lo, hi = np.divmod(keys, two_blobs.n)
+    assert cache.pairs() == set(zip(lo.tolist(), hi.tolist()))
+
+
+def test_cache_lookups_never_widen_the_key_block():
+    """A ``searchsorted`` probe of another dtype copies the whole block to
+    int64 (8 MB here) on every call; the reads must cast the probe instead."""
+    n = 1500
+    lo, hi = np.triu_indices(1415, 1)  # 1 000 405 stored pairs, all below point 1415
+    points = np.random.default_rng(5).random((n, 2))
+    cache = SparseDistanceMatrix(points, keys=lo * n + hi)
+    assert cache._block.dtype == np.int32
+    rng = np.random.default_rng(6)
+    stored = [(int(i), int(j)) for i, j in rng.integers(0, 1415, (500, 2))]
+    anywhere = [(int(i), int(j)) for i, j in rng.integers(0, n, (500, 2))]
+    js = np.arange(1000, n)  # 85 of them past point 1415
+    tracemalloc.start()
+    try:
+        for i, j in stored:
+            cache.distance(i, j)
+        got = [cache.get(i, j) for i, j in anywhere[:250]]
+        found = [(i, j) in cache for i, j in anywhere[250:]]
+        cache.distances(3, js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert got == [cache.get(j, i) for i, j in anywhere[:250]]
+    assert None in got and found == [cache.get(i, j) is not None for i, j in anywhere[250:]]
+    assert len(cache) == len(lo) + n - 1415
 
 
 def test_cache_reads_every_pair_with_full_matrix_bits():
