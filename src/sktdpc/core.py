@@ -220,26 +220,34 @@ def assign_labels(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Propagate cluster ids from centers along nearest-denser links.
 
-    A single pass in descending-density order suffices because every point's
-    nearest denser point precedes it.  If the densest point is not itself a
-    center it joins the nearest center's cluster (flagged).
+    The roots are the centers and every other point whose link is -1; such
+    a point (the densest, when it is not a center) first joins the nearest
+    center's cluster, ties to the lower cluster id, through ``distance_fn``
+    (flagged).  Every other point takes the label of the root its chain of
+    links ends at, found for all points together by pointer doubling.
+    ValueError unless every link is -1 or points to a strictly denser point
+    (earlier in ``density_order``), so every chain ends at a root.
     """
     n = len(density_order)
+    link = np.asarray(nearest_denser, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[density_order] = np.arange(n)
+    valid = link == -1
+    inside = (link >= 0) & (link < n)
+    valid[inside] = rank[link[inside]] < rank[inside]
+    if not valid.all():
+        i = int(np.flatnonzero(~valid)[0])
+        raise ValueError(f"nearest_denser[{i}] = {link[i]} is not a denser point")
     labels = np.full(n, -1, dtype=np.int64)
-    for cid, c in enumerate(centers):
-        labels[c] = cid
+    labels[list(centers)] = np.arange(len(centers))
     flags: tuple[str, ...] = ()
-    for i in (int(x) for x in density_order):
-        if labels[i] >= 0:
-            continue
-        j = int(nearest_denser[i])
-        if j < 0:
-            best = min((distance_fn(i, c), cid) for cid, c in enumerate(centers))
-            labels[i] = best[1]
-            flags = ("densest-point-not-center",)
-        else:
-            labels[i] = labels[j]
-    return labels, flags
+    for i in density_order[(link[density_order] == -1) & (labels[density_order] < 0)].tolist():
+        labels[i] = min((distance_fn(i, c), cid) for cid, c in enumerate(centers))[1]
+        flags = ("densest-point-not-center",)
+    up = np.where(labels >= 0, np.arange(n), link)  # the roots are labelled now
+    while not np.array_equal(further := up[up], up):  # doubles the links followed
+        up = further
+    return labels[up], flags
 
 
 def _checked_params(d: Dataset, k: int, n_centers: int | None) -> dict:

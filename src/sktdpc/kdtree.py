@@ -3,9 +3,10 @@
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack with hyperplane pruning.  It is held
 as flat arrays in preorder and built level by level, each level with one
-sort and one variance block per subtree size (Zhou, Hou, Wang & Guo,
-SIGGRAPH Asia 2008), into the same tree, bit for bit, as one split per
-node would give.  Nothing here recurses, however deep the tree.
+integer sort of per-build coordinate ranks and one variance block per
+subtree size (Zhou, Hou, Wang & Guo, SIGGRAPH Asia 2008), into the same
+tree, bit for bit, as one split per node would give.  Nothing here
+recurses, however deep the tree.
 
 The k-NN search runs every query in lockstep: all queries walk the tree
 together, one stack pop each per step, with numpy vectors across the
@@ -88,6 +89,13 @@ def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
     points tied with that point rank right after it and go low with the
     points before it, so each child is a contiguous run once the pivots are
     taken out.  The left child of ``v`` is ``v + 1``, the right ``v + 1 + |low|``.
+
+    ``rank[d, p]`` is the position of point p in a stable argsort of
+    coordinate d, its (coordinate, index) rank, taken once per build.  A
+    level then orders its points with one integer sort of the distinct
+    keys ``segment * n + rank[split dimension, point]``, of dtype
+    :func:`~sktdpc.sparse.key_dtype`, which gives the (segment, coordinate,
+    index) order a three-key ``lexsort`` would.
     """
     n, dim = points.shape
     point = np.empty(n, dtype=np.int64)
@@ -95,6 +103,8 @@ def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
     split_value = np.zeros(n)
     left = np.full(n, -1, dtype=np.int64)
     right = np.full(n, -1, dtype=np.int64)
+    rank = np.empty((dim, n), dtype=key_dtype(n))
+    rank[np.arange(dim)[:, None], np.argsort(points, axis=0, kind="stable").T] = np.arange(n)
     perm = np.arange(n)
     # start, size and preorder node number of each segment at this level
     start = np.zeros(1, dtype=np.int64)
@@ -107,11 +117,10 @@ def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
         dims = np.zeros(len(size), dtype=np.int64)
         if dim > 1 and inner.any():  # in one dimension there is nothing to choose
             dims[inner] = np.argmax(_variances(points, perm, start[inner], size[inner]), axis=1)
-        seg = np.repeat(np.arange(len(size)), size)
-        coords = points[perm, dims[seg]]
-        order = np.lexsort((perm, coords, seg))
-        perm = perm[order]
-        coords = coords[order]
+        seg = np.repeat(np.arange(len(size), dtype=rank.dtype), size)
+        seg_dims = dims[seg]
+        perm = perm[np.argsort(seg * n + rank[seg_dims, perm])]
+        coords = points[perm, seg_dims]
         mid = start + (size + 1) // 2 - 1  # rank ceil(size/2), 1-based
         value = coords[mid]
         point[node] = perm[mid]

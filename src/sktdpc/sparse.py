@@ -17,9 +17,13 @@ bulk, a pair it evaluated from both ends once per end; they live in one
 sorted key array, repeats and all, set once and never merged into, beside
 the count of the distinct keys in it.  A lookup casts its probe keys to
 that array's dtype, as ``searchsorted`` would otherwise copy the whole
-array to int64 on every call.  Pairs evaluated later, one at a time
-(:meth:`distance`) or all of one point's at once (:meth:`distances`), go
-into a set.
+array to int64 on every call.  Pairs evaluated later go into a set of
+the keys outside the block.  One evaluated at a time (:meth:`distance`)
+only has its key appended to a list of pending keys; :meth:`_settle` moves
+the pending keys into the set in one vector pass, deduplicated and with
+those already in the block dropped, once 1024 are pending and before every
+read, so the pending list stays short and every count is exact.  All of
+one point's pairs at once (:meth:`distances`) go through the same pass.
 """
 
 from __future__ import annotations
@@ -48,12 +52,13 @@ class SparseDistanceMatrix:
     sorted array of :func:`key_dtype`.  Squared differences
     are summed dimension by dimension, in the order ``baseline.full_matrix``
     uses, so every distance is bit-identical to it.  ``tree`` is the k-d
-    tree over the same points, or None.  Threads may share a ledger: writes
-    are serialised by a lock.
+    tree over the same points, or None.  Threads may share a ledger: they
+    append pending keys to one list, and :meth:`_settle` takes them out of
+    it and into the set while it holds a lock.
     """
 
     __slots__ = ("_columns", "_column_lists", "_n", "_block", "_block_pairs", "_extra",
-                 "_lock", "tree")
+                 "_pending", "_lock", "tree")
 
     def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
         """A ledger over ``points`` recording every pair in ``keys``
@@ -77,10 +82,12 @@ class SparseDistanceMatrix:
         # distinct keys: a sorted array repeats a key in adjacent slots
         self._block_pairs = len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1]))
         self._extra: set[int] = set()
+        self._pending: list[int] = []  # keys of distance() calls not yet settled
         self._lock = threading.Lock()
         self.tree = tree
 
     def __len__(self) -> int:
+        self._settle()
         return self._block_pairs + len(self._extra)
 
     @property
@@ -97,7 +104,29 @@ class SparseDistanceMatrix:
             raise IndexError(f"point index out of range [0, {n}): ({i}, {j})")
         return i * n + j if i < j else j * n + i
 
+    def _settle(self, keys: np.ndarray | None = None) -> None:
+        """Move the pending keys, and ``keys`` (of the block's dtype) when
+        given, into the set: deduplicated by ``np.unique``, less those the
+        block holds, found by one vector ``searchsorted``.  Other threads
+        may append while this runs; it takes out only the keys it read, and
+        only once they are in the set, so a read that finds no key pending
+        misses none."""
+        if not self._pending and keys is None:
+            return
+        with self._lock:
+            count = len(self._pending)
+            fresh = np.array(self._pending[:count], dtype=self._block.dtype)
+            if keys is not None:
+                fresh = np.concatenate((fresh, keys))
+            fresh = np.unique(fresh)
+            if len(self._block):
+                p = np.minimum(self._block.searchsorted(fresh), len(self._block) - 1)
+                fresh = fresh[self._block[p] != fresh]
+            self._extra.update(fresh.tolist())
+            del self._pending[:count]  # appends land after the first count
+
     def _stored(self, key: int) -> bool:
+        self._settle()
         if key in self._extra:
             return True
         p = self._block.searchsorted(self._block.dtype.type(key))  # never widen the block
@@ -115,9 +144,9 @@ class SparseDistanceMatrix:
         key = self._key(i, j)
         if i == j:
             return 0.0
-        if not self._stored(key):  # the block never changes; adding is idempotent
-            with self._lock:
-                self._extra.add(key)
+        self._pending.append(key)
+        if len(self._pending) >= 1024:
+            self._settle()
         return self._compute(i, j)
 
     def distances(self, i: int, js: np.ndarray) -> np.ndarray:
@@ -136,12 +165,8 @@ class SparseDistanceMatrix:
             t *= t
             out += t
         np.sqrt(out, out=out)
-        keys = np.where(js < i, js * n + i, i * n + js)[js != i].astype(self._block.dtype)
-        if len(self._block):
-            p = np.minimum(self._block.searchsorted(keys), len(self._block) - 1)
-            keys = keys[self._block[p] != keys]
-        with self._lock:
-            self._extra.update(keys.tolist())
+        keys = np.where(js < i, js * n + i, i * n + js)[js != i]
+        self._settle(keys.astype(self._block.dtype))
         return out
 
     def get(self, i: int, j: int) -> float | None:
@@ -156,6 +181,7 @@ class SparseDistanceMatrix:
 
     def pairs(self) -> set[tuple[int, int]]:
         """Snapshot of all recorded (low, high) index pairs."""
+        self._settle()
         lo, hi = np.divmod(self._block, self._n)
         out = set(zip(lo.tolist(), hi.tolist()))
         out.update(divmod(key, self._n) for key in list(self._extra))

@@ -3,7 +3,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import adversarial, random_dataset
 from sktdpc import core
@@ -301,6 +302,81 @@ def test_select_centers_fallback_keeps_top_rank():
     centers, candidates, flags = core.select_centers(density, separation, order, 1)
     assert centers == (0,)
     assert "center-filter-fallback" in flags
+
+
+def reference_assign_labels(density_order, nearest_denser, centers, distance_fn):
+    """The per-point loop the pointer doubling replaced, kept as its oracle:
+    one pass in descending-density order, each point taking the label of
+    its nearest denser point, which precedes it."""
+    n = len(density_order)
+    labels = np.full(n, -1, dtype=np.int64)
+    for cid, c in enumerate(centers):
+        labels[c] = cid
+    flags = ()
+    for i in (int(x) for x in density_order):
+        if labels[i] >= 0:
+            continue
+        j = int(nearest_denser[i])
+        if j < 0:
+            best = min((distance_fn(i, c), cid) for cid, c in enumerate(centers))
+            labels[i] = best[1]
+            flags = ("densest-point-not-center",)
+        else:
+            labels[i] = labels[j]
+    return labels, flags
+
+
+@st.composite
+def forests(draw):
+    """A density order, nearest-denser links (each -1 or a denser point,
+    -1 for the densest), integer positions for ``distance_fn`` (ties
+    included) and a non-empty list of distinct centers."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    link = [-1] * n
+    for r in range(1, n):
+        up = draw(st.integers(-1, r - 1))  # -1: one more root besides the densest
+        link[order[r]] = -1 if up < 0 else order[up]
+    where = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    centers = draw(st.one_of(
+        st.permutations(range(n)),  # every point a center
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+    ))
+    return np.array(order), np.array(link), centers, where
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests())
+@example((np.array([2, 0, 1]), np.array([2, 0, -1]), [1], [0, 3, 1]))  # densest not a center
+@example((np.array([1, 0, 2]), np.array([1, -1, 0]), [2, 0, 1], [0, 0, 0]))  # all centers
+def test_assign_labels_equals_reference_loop(forest):
+    """Labels, flags and the ``distance_fn`` calls made equal the loop's on
+    random nearest-denser forests and center sets."""
+    order, link, centers, where = forest
+    got_calls, want_calls = [], []
+
+    def distance_fn(calls):
+        return lambda i, c: calls.append((i, c)) or float(abs(where[i] - where[c]))
+
+    got = core.assign_labels(order, link, centers, distance_fn(got_calls))
+    want = reference_assign_labels(order, link, centers, distance_fn(want_calls))
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+    assert got_calls == want_calls
+    assert got[0].min() >= 0
+
+
+@pytest.mark.parametrize(
+    "link",
+    [[-1, 2, 1], [-1, 1, 0], [-1, 0, 2], [-1, 5, 0], [-1, 0, -2], [1, 0, 1]],
+    ids=["cycle", "self-link", "self-link-last", "out-of-range", "below-minus-one",
+         "link-to-less-dense"],
+)
+def test_assign_labels_rejects_a_link_that_is_not_denser(link):
+    """Every link is -1 or points to a strictly denser point: a cycle would
+    keep the doubling from ever stopping, and the loop it replaced spread -1
+    or raised IndexError."""
+    with pytest.raises(ValueError, match="is not a denser point"):
+        core.assign_labels(np.arange(3), np.array(link), [0], lambda i, j: 1.0)
 
 
 def test_assign_every_point_a_center():

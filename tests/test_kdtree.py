@@ -305,6 +305,56 @@ def test_cache_shared_by_threads_loses_no_pair():
     assert shared.evaluations == want.evaluations == len(shared)
 
 
+def test_cache_threads_crossing_the_settle_threshold_count_exactly():
+    """Two threads make 4200 ``distance`` calls on one ledger, past the
+    1024 pending keys that trigger a settle four times over: new pairs,
+    pairs of the k-NN block, repeats of both, and pairs the other thread
+    also evaluates.  The values, ``evaluations`` and ``pairs()`` equal those
+    of a ledger fed the same pairs one by one."""
+    import sys
+    import threading
+
+    d = random_dataset(33, n=300, dim=2)
+    tree = build(d)
+    _, serial = knn_all(tree, 3)
+    bulk = sorted(serial.pairs())
+    rng = np.random.default_rng(7)
+    common = [(int(a), int(b)) for a, b in rng.integers(0, d.n, (300, 2))]
+    work = []
+    for _ in range(2):
+        fresh = [(int(a), int(b)) for a, b in rng.integers(0, d.n, (600, 2))]
+        picks = rng.integers(0, len(bulk), 600).tolist()
+        hits = [bulk[x] if x % 2 else bulk[x][::-1] for x in picks]  # half high index first
+        calls = fresh + hits + common + fresh[:300] + hits[:300]
+        work.append([calls[x] for x in rng.permutation(len(calls))])
+    want = [[serial.distance(i, j) for i, j in calls] for calls in work]
+    assert sum(map(len, work)) == 4200 and len(set(work[0] + work[1])) > 1024
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # a lost key shows only when a switch hits a settle
+            _, shared = knn_all(tree, 3)
+            got = [None, None]
+            start = threading.Barrier(2)
+
+            def run(t):
+                start.wait(timeout=60)
+                got[t] = [shared.distance(i, j) for i, j in work[t]]
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == want
+            assert shared.evaluations == serial.evaluations == len(shared) > len(bulk)
+            assert len(shared) == len(serial.pairs())
+            assert shared.pairs() == serial.pairs()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_query_on_tight_cluster_field():
     d = generate_gaussian_blobs(
         np.random.default_rng(8).uniform(0, 50, size=(10, 2)),
@@ -612,16 +662,17 @@ def test_cache_bulk_and_late_pairs_agree(two_blobs):
 def test_cache_distances_equal_repeated_distance(two_blobs, i):
     """``distances(i, js)`` gives the bits, the stored pairs and the
     evaluation count of one ``distance(i, j)`` per j, on a cache holding k-NN
-    pairs in its block and late pairs, of i and of others, in its dict."""
+    pairs in its block and late pairs, of i and of others, outside it."""
     tree = build(two_blobs)
     caches = [knn_all(tree, 4)[1] for _ in range(2)]
+    bulk = caches[0].pairs()
     rng = np.random.default_rng(i)
     late = [(int(a), int(b)) for a, b in rng.integers(0, two_blobs.n, (40, 2))]
     late += [(i, int(j)) for j in rng.integers(0, two_blobs.n, 15)]
     for cache in caches:
         for a, b in late:
             cache.distance(a, b)
-    assert caches[0]._extra and caches[0].pairs() == caches[1].pairs()
+    assert len(caches[0]) > len(bulk) and caches[0].pairs() == caches[1].pairs() > bulk
     js = rng.permutation(two_blobs.n)  # i itself included
     got = caches[0].distances(i, js)
     want = np.array([caches[1].distance(i, int(j)) for j in js])
@@ -782,6 +833,26 @@ def test_reduceat_variances_change_the_witness_tree(monkeypatch):
     monkeypatch.setattr(kdtree, "_variances", reduceat_variances)
     with pytest.raises(AssertionError):
         _assert_build_equals_reference(points)
+
+
+@pytest.mark.parametrize("make", [_lattice_points, _ties(3), _witness], ids=lambda m: m.__name__)
+def test_build_sorts_without_lexsort(make, monkeypatch):
+    """A level orders its points by one integer sort of rank keys: the build
+    calls no ``np.lexsort`` and still equals the reference build."""
+    points = make()
+    d = Dataset(points)
+
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("np.lexsort called")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", no_lexsort)
+        tree = build(d)
+    want, depth = reference_build(points)
+    got = (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    for g, w in zip(got, want):
+        assert g.tobytes() == np.array(w).tobytes()
+    assert tree.depth() == depth
 
 
 def test_build_has_no_recursion():
