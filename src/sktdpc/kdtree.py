@@ -1,12 +1,12 @@
 """Exact k-nearest-neighbor and nearest-denser search over a k-d tree.
 
 The tree splits on the maximum-variance dimension at the median point, one
-point per node, and queries backtrack with hyperplane pruning.  It is held
-as flat arrays in preorder and built level by level, each level with one
-integer sort of per-build coordinate ranks and one variance block per
-subtree size (Zhou, Hou, Wang & Guo, SIGGRAPH Asia 2008), into the same
-tree, bit for bit, as one split per node would give.  Nothing here
-recurses, however deep the tree.
+point per node, and queries backtrack with hyperplane pruning; the tree is
+floor(log2 n) + 1 deep on any input, ties included.  It is held as flat
+arrays in preorder and built level by level, each level with one integer
+sort of per-build coordinate ranks and one variance block per subtree size
+(Zhou, Hou, Wang & Guo, SIGGRAPH Asia 2008), into the same tree, bit for
+bit, as one split per node would give.  Nothing here recurses.
 
 The k-NN search runs every query in lockstep: all queries walk the tree
 together, one stack pop each per step, with numpy vectors across the
@@ -43,19 +43,21 @@ class KdTree:
     right subtree; the root is node 0), one node per point.  For node ``v``:
     ``point[v]`` is its point, ``split_dim[v]`` its split dimension (-1 at a
     leaf), ``split_value[v]`` that point's coordinate in it, and
-    ``left[v]``/``right[v]`` its children (-1 when absent).
+    ``left[v]``/``right[v]`` its children (-1 when absent).  Left-subtree
+    points precede ``point[v]`` in (coordinate, index) order, right-subtree
+    points follow it; ``left`` and ``right`` depend on n alone.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        arrays, self._depth = _build(dataset.points)
+        arrays = _build(dataset.points)
         for a in arrays:
             a.setflags(write=False)
         self.point, self.split_dim, self.split_value, self.left, self.right = arrays
 
     def depth(self) -> int:
-        """Nodes on the longest root-to-leaf path."""
-        return self._depth
+        """Nodes on the longest root-to-leaf path: floor(log2 n) + 1."""
+        return self.dataset.n.bit_length()
 
     def dump(self) -> str:
         """Indented text rendering of the tree structure, for golden tests."""
@@ -78,17 +80,17 @@ class KdTree:
         return "\n".join(out)
 
 
-def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
-    """Preorder arrays (point, split_dim, split_value, left, right) and depth.
+def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Preorder arrays (point, split_dim, split_value, left, right).
 
     One pass per level splits every subtree of that depth.  The live points
     form one permutation cut into contiguous segments, one per subtree, each
     in ascending (coordinate, index) order of its parent's split dimension,
-    the row order its variances are summed in.  A segment splits on its
-    maximum-variance dimension (ties: the lowest) at its median-rank point;
-    points tied with that point rank right after it and go low with the
-    points before it, so each child is a contiguous run once the pivots are
-    taken out.  The left child of ``v`` is ``v + 1``, the right ``v + 1 + |low|``.
+    the row order its variances are summed in.  A segment of m points splits
+    on its maximum-variance dimension (ties: the lowest) at its point of
+    rank ceil(m/2); the points ranked before it go low and those after it
+    high, so each child is a contiguous run once the pivots are taken out.
+    The left child of ``v`` is ``v + 1``, the right ``v + ceil(m/2)``.
 
     ``rank[d, p]`` is the position of point p in a stable argsort of
     coordinate d, its (coordinate, index) rank, taken once per build.  A
@@ -110,36 +112,29 @@ def _build(points: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
     start = np.zeros(1, dtype=np.int64)
     size = np.array([n])
     node = np.zeros(1, dtype=np.int64)
-    depth = 0
     while len(size):
-        depth += 1
         inner = size > 1
         dims = np.zeros(len(size), dtype=np.int64)
         if dim > 1 and inner.any():  # in one dimension there is nothing to choose
             dims[inner] = np.argmax(_variances(points, perm, start[inner], size[inner]), axis=1)
         seg = np.repeat(np.arange(len(size), dtype=rank.dtype), size)
-        seg_dims = dims[seg]
-        perm = perm[np.argsort(seg * n + rank[seg_dims, perm])]
-        coords = points[perm, seg_dims]
-        mid = start + (size + 1) // 2 - 1  # rank ceil(size/2), 1-based
-        value = coords[mid]
+        perm = perm[np.argsort(seg * n + rank[dims[seg], perm])]
+        low = (size + 1) // 2 - 1  # the pivot has rank ceil(size/2), 1-based
+        high = size // 2
+        mid = start + low
         point[node] = perm[mid]
         split_dim[node[inner]] = dims[inner]
-        split_value[node[inner]] = value[inner]
-        low = np.bincount(seg[coords <= value[seg]], minlength=len(size)) - 1
-        high = size - 1 - low
+        split_value[node[inner]] = points[perm[mid[inner]], dims[inner]]
         left[node[low > 0]] = node[low > 0] + 1
         right[node[high > 0]] = (node + 1 + low)[high > 0]
-        keep = np.ones(len(perm), dtype=bool)
-        keep[mid] = False
-        perm = perm[keep]
+        perm = np.delete(perm, mid)
         base = start - np.arange(len(size))  # pivots of earlier segments are gone
         start = np.column_stack((base, base + low)).ravel()
         node = np.column_stack((node + 1, node + 1 + low)).ravel()
         size = np.column_stack((low, high)).ravel()
         live = size > 0
         start, node, size = start[live], node[live], size[live]
-    return (point, split_dim, split_value, left, right), depth
+    return point, split_dim, split_value, left, right
 
 
 def _variances(
@@ -151,8 +146,8 @@ def _variances(
     The segments of one length sit side by side in a ``(length, segments,
     dim)`` block that takes ``var``'s own steps, so each segment's rows are
     summed down axis 0 one after another, as ``var`` sums them (sums by
-    ``np.add.reduceat`` come in another order and other bits).  Tie-free
-    data gives at most two lengths per level.
+    ``np.add.reduceat`` come in another order and other bits).  The build
+    hands it at most two lengths per level, on any data.
     """
     out = np.empty((len(size), points.shape[1]))
     for length in np.unique(size).tolist():

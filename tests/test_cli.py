@@ -67,7 +67,7 @@ def test_cluster_unexpected_exception_exit_3(monkeypatch, capsys):
 
 
 def test_cluster_identical_points_exit_0(tmp_path, capsys):
-    """1500 identical points make a 1500-deep tree; nothing recurses."""
+    """1500 identical points cluster, and nothing recurses."""
     p = tmp_path / "same.txt"
     p.write_text("0.5 0.5\n" * 1500)
     labels_out = tmp_path / "labels.txt"
@@ -202,8 +202,8 @@ def test_bench_custom_suite_and_failure_recording(tmp_path, capsys):
         "center_indices = 229 72\n"
         "mutation_point = 2\n"
         "candidates = 2\n"
-        "distance_evaluations = 3690\n"
-        "distance_ratio = 0.128661\n"
+        "distance_evaluations = 3702\n"
+        "distance_ratio = 0.129079\n"
         "flags = \n"
         "acc = 1.000000\n"
         "ami = 1.000000\n"

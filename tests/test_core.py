@@ -509,8 +509,8 @@ def test_numpy_integer_counts_are_accepted(two_blobs):
 
 
 def test_run_sktdpc_identical_points_equals_reference():
-    """1500 coincident points: the tree is 1500 nodes deep (every tie goes
-    left), and no stage recurses."""
+    """1500 coincident points: every pair ties at distance 0, the tree is
+    still 11 nodes deep, and no stage recurses."""
     d = Dataset(np.full((1500, 2), 3.0))
     fast = core.run_sktdpc(d, 7)
     ref = sktdpc_reference(d, 7)

@@ -61,24 +61,40 @@ def test_every_point_appears_exactly_once():
     assert sorted(seen) == list(range(73))
 
 
-def test_split_rule_left_le_right_gt():
-    d = random_dataset(2, n=50, dim=2)
-    tree = build(d)
-    for v in _subtree(tree, 0):
-        dim, value = tree.split_dim[v], tree.split_value[v]
-        if dim < 0:
-            continue
-        for side, cmp in ((tree.left[v], lambda x: x <= value),
-                          (tree.right[v], lambda x: x > value)):
-            for cur in _subtree(tree, side):
-                assert cmp(d.points[tree.point[cur], dim])
+def test_split_rule_by_rank():
+    """Every left-subtree point precedes the node's point in (coordinate,
+    index) order of its split dimension and every right-subtree point
+    follows it, so coordinates satisfy left <= split value <= right."""
+    for points in (random_dataset(2, n=50, dim=2).points, _lattice_points(), _ties(3)(), _witness()):
+        tree = build(Dataset(points))
+        for v in _subtree(tree, 0):
+            dim, value, pivot = tree.split_dim[v], tree.split_value[v], int(tree.point[v])
+            if dim < 0:
+                continue
+            assert points[pivot, dim] == value
+            for cur in _subtree(tree, tree.left[v]):
+                p = int(tree.point[cur])
+                assert (points[p, dim], p) < (value, pivot) and points[p, dim] <= value
+            for cur in _subtree(tree, tree.right[v]):
+                p = int(tree.point[cur])
+                assert (points[p, dim], p) > (value, pivot) and points[p, dim] >= value
+
+
+def _longest_path(tree):
+    """Nodes on the longest root-to-leaf path, read from the child arrays."""
+    longest, stack = 0, [(0, 1)]
+    while stack:
+        v, level = stack.pop()
+        longest = max(longest, level)
+        stack.extend((int(c), level + 1) for c in (tree.left[v], tree.right[v]) if c >= 0)
+    return longest
 
 
 def test_depth_bound_on_uniform_points():
     rng = np.random.default_rng(123)
     d = Dataset(rng.uniform(0, 1, size=(1000, 2)))
     tree = build(d)
-    assert tree.depth() <= 2 * math.ceil(math.log2(1000)) + 1
+    assert _longest_path(tree) == tree.depth() == (1000).bit_length()
 
 
 def test_two_point_query():
@@ -532,7 +548,7 @@ def test_knn_all_equals_reference_search_on_adversarial_inputs(case):
 def test_identical_points_build_and_search_without_recursion():
     d = Dataset(np.full((1500, 2), 0.25))
     tree = build(d)
-    assert tree.depth() == 1500  # ties all go left (ROADMAP item 2)
+    assert tree.depth() == _longest_path(tree) == 11
     assert len(tree.dump().splitlines()) == 1500
     neighbors, cache = knn_all(tree, 7)
     assert neighbors.indices[:2].tolist() == [[1, 2, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7]]
@@ -715,14 +731,10 @@ def reference_build(points, subsets=None):
         ranked = subset[order]
         mid = (len(ranked) + 1) // 2 - 1  # rank ceil(count/2), 1-based
         pivot = int(ranked[mid])
-        value = float(points[pivot, dim])
         point.append(pivot)
         split_dim.append(dim)
-        split_value.append(value)
-        rest = np.concatenate([ranked[:mid], ranked[mid + 1 :]])
-        rest_coords = points[rest, dim]
-        low = rest[rest_coords <= value]
-        high = rest[rest_coords > value]
+        split_value.append(float(points[pivot, dim]))
+        low, high = ranked[:mid], ranked[mid + 1 :]  # ranked before and after the pivot
         # pushed right first, so the left subtree is numbered first
         if len(high):
             stack.append((high, node, right, level + 1))
@@ -866,3 +878,58 @@ def test_build_has_no_recursion():
                 for c in ast.walk(fn) if isinstance(c, ast.Call)
             }
             assert fn.name not in called, fn.name
+
+
+@pytest.mark.parametrize("make", _BUILD_CASES, ids=lambda make: make.__name__)
+def test_depth_is_fixed_by_n(make):
+    """Every split leaves at most half of a subtree on either side, ties
+    included, so every tree is floor(log2 n) + 1 deep."""
+    points = make()
+    tree = build(Dataset(points))
+    assert _longest_path(tree) == tree.depth() == len(points).bit_length()
+
+
+@settings(max_examples=100, deadline=None)
+@given(adversarial())
+def test_depth_is_fixed_by_n_on_adversarial_inputs(case):
+    tree = build(case[0])
+    assert _longest_path(tree) == tree.depth() == case[0].n.bit_length()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.full((1500, 2), 0.25), _ties(2)(), _ties(8)(), _witness(), _lattice_points()],
+    ids=["identical_1500x2", "ties_2d", "ties_8d", "witness", "lattice"],
+)
+def test_tree_shape_on_ties_equals_shape_on_uniform_points(points):
+    """The child arrays depend on n alone: a tie-heavy input gives the
+    ``left`` and ``right`` of uniform random points of the same shape."""
+    tree = build(Dataset(points))
+    uniform = build(Dataset(np.random.default_rng(9).uniform(size=points.shape)))
+    assert tree.left.tobytes() == uniform.left.tobytes()
+    assert tree.right.tobytes() == uniform.right.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.random.default_rng(10).integers(0, 10, size=(2000, 2)).astype(float),
+        _ties(3)(),
+        _witness(),
+        np.vstack([np.zeros((300, 2)), np.random.default_rng(11).uniform(size=(300, 2))]),
+    ],
+    ids=["ints10_2000x2", "ties_3d", "witness", "half_identical_600x2"],
+)
+def test_variances_see_at_most_two_lengths_per_level(points, monkeypatch):
+    """Segment sizes at one level differ by at most one, on tie-heavy data
+    too, so each level sums at most two variance blocks."""
+    lengths = []
+    real = kdtree._variances
+
+    def spy(points, perm, start, size):
+        lengths.append(len(np.unique(size)))
+        return real(points, perm, start, size)
+
+    monkeypatch.setattr(kdtree, "_variances", spy)
+    build(Dataset(points))
+    assert lengths and max(lengths) <= 2
