@@ -8,21 +8,31 @@ sort of per-build coordinate ranks and one variance block per subtree size
 (Zhou, Hou, Wang & Guo, SIGGRAPH Asia 2008), into the same tree, bit for
 bit, as one split per node would give.  Nothing here recurses.
 
+Both searches prune by one rule.  A node's point lies on its own split
+plane and every point of its far subtree lies beyond it, so the target's
+difference ``diff`` to the split value bounds the distances of them all:
+at an internal node whose ``reach = sqrt(diff * diff)`` is beyond the best
+distance so far, a search skips the node's point and its far subtree.  Rounded
+squares, sums and square roots are monotone, so reach is at most every
+computed distance it skips, underflow included (``|diff|`` is not once
+squares underflow to 0).  A leaf has no plane, and its point is always
+evaluated.
+
 The k-NN search runs every query in lockstep: all queries walk the tree
 together, one stack pop each per step, with numpy vectors across the
 queries.  Each query still pops exactly the nodes a depth-first search of
 its own would (Friedman, Bentley & Finkel, ACM TOMS 1977).  A query's
 state lives in one lane of dense arrays, which a step reads without
-gathering, in about 40 numpy calls whatever the dimension; the live lanes
+gathering, in about 50 numpy calls whatever the dimension; the live lanes
 move to narrower arrays once half have finished.  The neighbours come back
 as one record array whose ``indices`` and ``distances`` fields are (n, k)
 arrays, and the keys of every pair evaluated on the way build the
 :class:`~sktdpc.sparse.SparseDistanceMatrix` that downstream stages reuse.
 
 The nearest-denser search finds, for all the points it is given in one
-call, the closest point of smaller density rank.  Besides the hyperplane
-bound it skips every subtree whose smallest rank (:func:`subtree_min_rank`)
-is not smaller than the query's, as in the dependent-point search of Ex-DPC
+call, the closest point of smaller density rank.  Besides the plane bound
+it skips every subtree whose smallest rank (:func:`subtree_min_rank`) is
+not smaller than the query's, as in the dependent-point search of Ex-DPC
 (Amagata & Hara, SIGMOD 2021).
 """
 
@@ -177,13 +187,17 @@ def _lockstep_knn(
 
     All queries advance together, one stack pop each per step.  A query's
     pops are those of the depth-first search that visits the near child
-    first and then the far child only when fewer than k candidates are
-    kept, or the target-to-hyperplane distance is at most
-    the k-th best distance so far.  The far child is pushed with that plane
-    distance and tested when popped, which is when the depth-first search
-    tests it, after the near subtree; a near child is pushed with -inf.
-    Squared differences are summed dimension by dimension, as in
-    ``baseline.full_matrix``, so distances are bit-identical to it.
+    first.  At an internal node, ``reach = sqrt(plane * plane)`` of the
+    target's difference ``plane`` to the split value bounds the node's point
+    and the far subtree: the point is evaluated, and the far child pushed,
+    only when fewer than k candidates are kept (the k-th best is inf) or
+    reach is at most the k-th best distance.  A leaf's point is always
+    evaluated.  The far child is pushed with bound reach and tested again
+    when popped, which is when the depth-first search tests it, after the
+    near subtree; a near child is pushed with -inf.  A pair is counted
+    exactly when it is evaluated.  Squared differences are summed dimension
+    by dimension, as in ``baseline.full_matrix``, so distances are
+    bit-identical to it.
 
     Each query runs in a lane, and every lane array is in lane order, so a
     step reads its state without gathering.  A lane's stack is a run of
@@ -241,13 +255,19 @@ def _lockstep_knn(
             go = bound[top] <= worst
             rec = record.take(node, axis=1)
             j, dims, children = rec[0], rec[1], rec[2:4]
-            visit = j != point
-            visit &= go
             diff = coords.take(node, axis=1)
             diff -= target
             dims *= width  # flat index of the split coordinate; a leaf's
             dims += lane  # -1 reads the last row, and its plane goes unused
             plane = diff.take(dims)  # split value minus target coordinate
+            reach = plane * plane
+            np.sqrt(reach, out=reach)
+            # the node's point and the far side lie at least reach away
+            inside = reach <= worst
+            inside |= dims < 0  # a leaf has no plane
+            visit = j != point
+            visit &= go
+            visit &= inside
             diff *= diff
             np.sqrt(diff.sum(axis=0), out=d)
             index[...] = j
@@ -278,12 +298,14 @@ def _lockstep_knn(
             near_far = np.where(plane >= 0.0, children, children[::-1])  # (near, far)
             exists = near_far >= 0
             exists &= go
+            exists[1] &= inside
             # Both children are written from the popped slot up (slot 0 for
             # an empty lane), and the stack grows only over those that exist
-            # for a lane that visited its node.
+            # for a lane whose node passed its bound, the far one only
+            # within reach.
             at = np.maximum(top, base)
             stack[at] = near_far[1]
-            bound[at] = np.abs(plane)
+            bound[at] = reach
             at += exists[1]
             stack[at] = near_far[0]
             bound[at] = -np.inf
@@ -345,9 +367,10 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
 
     The neighbors are n records; their ``indices`` and ``distances`` fields
     are (n, k) arrays, row i ascending by (distance, index), so distance
-    ties go to the lower point index.  A subtree is skipped only when the
-    target-to-splitting-hyperplane distance already exceeds the current
-    k-th-best distance.  The ledger records the union of the pairs the
+    ties go to the lower point index.  A node's point and its far subtree
+    are skipped only when the target-to-plane bound ``sqrt(diff * diff)``
+    already exceeds the current k-th-best distance; a leaf's point is
+    always evaluated.  The ledger records the union of the pairs the
     queries evaluated, each counted once, from one sorted block of their
     keys: int32 while n * n < 2**31, else int64
     (:func:`~sktdpc.sparse.key_dtype`).
@@ -385,10 +408,13 @@ def nearest_denser_all(
 
     Each target in turn walks the tree depth first, near child first,
     skipping a subtree that holds no point of smaller rank
-    (:func:`subtree_min_rank`) or whose hyperplane is strictly farther than
+    (:func:`subtree_min_rank`) or whose plane bound is strictly farther than
     the best distance found, so an equidistant point of lower index across
-    the plane is still reached.  Every point of smaller rank visited is
-    evaluated through ``cache.distance(target, j)``.
+    the plane is still reached.  At an internal node the bound is
+    ``reach = sqrt(diff * diff)``: the node's point is evaluated, and the far
+    child pushed, only when reach is at most the best distance, as the
+    point lies on the plane.  A leaf's point of smaller rank is always
+    evaluated.  Every evaluation goes through ``cache.distance(target, j)``.
     """
     min_rank = subtree_min_rank(tree, rank).tolist()
     point, split_dim, split_value, left, right = (
@@ -406,18 +432,20 @@ def nearest_denser_all(
             v, bound = stack.pop()
             if min_rank[v] >= r or bound > best_d:
                 continue
-            idx = point[v]
-            if rank[idx] < r:
+            idx, dim = point[v], split_dim[v]
+            reach = 0.0  # a leaf has no plane
+            if dim >= 0:
+                diff = coords[dim] - split_value[v]
+                reach = math.sqrt(diff * diff)
+            if rank[idx] < r and reach <= best_d:
                 d = distance(target, idx)
                 if best_j < 0 or d < best_d or (d == best_d and idx < best_j):
                     best_d, best_j = d, idx
-            dim = split_dim[v]
             if dim < 0:
                 continue
-            diff = coords[dim] - split_value[v]
             near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
-            if far >= 0:
-                stack.append((far, abs(diff)))
+            if far >= 0 and reach <= best_d:
+                stack.append((far, reach))
             if near >= 0:
                 stack.append((near, bound))
         out_d[t], out_j[t] = best_d, best_j

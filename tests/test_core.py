@@ -518,3 +518,26 @@ def test_run_sktdpc_identical_points_equals_reference():
     assert fast.mutation_point == ref.mutation_point
     assert np.array_equal(fast.labels, ref.labels)
     assert fast.flags == ref.flags
+
+
+@pytest.mark.parametrize(
+    "dim, scale",
+    [(2, 1e-170), (1, 1e-200), (3, 2.0**-600)],
+    ids=["2d-1e-170", "1d-1e-200", "3d-2^-600"],
+)
+def test_run_sktdpc_equals_reference_where_squares_underflow(dim, scale):
+    """Every squared difference underflows to 0, so every distance is 0 while
+    every split plane lies a nonzero ``|diff|`` away: the tree searches must
+    bound by ``sqrt(diff * diff)``.  Every field but the counts and timings
+    equals the full-matrix pipeline's, bits included."""
+    d = Dataset(np.random.default_rng(1).random((200, dim)) * scale)
+    fast = core.run_sktdpc(d, 7)
+    ref = sktdpc_reference(d, 7)
+    assert fast.centers == ref.centers
+    assert fast.candidate_centers == ref.candidate_centers
+    assert fast.mutation_point == ref.mutation_point
+    assert np.array_equal(fast.labels, ref.labels)
+    assert fast.flags == ref.flags
+    for name in ("density", "density_order", "separation", "nearest_denser", "decision",
+                 "decision_order"):
+        assert getattr(fast.profile, name).tobytes() == getattr(ref.profile, name).tobytes(), name

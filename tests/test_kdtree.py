@@ -2,7 +2,9 @@ import ast
 import heapq
 import inspect
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from conftest import adversarial, random_dataset
 from sktdpc.baseline import brute_knn_all, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
-from sktdpc import kdtree
+from sktdpc import core, kdtree
 from sktdpc.kdtree import build, knn_all, nearest_denser_all, subtree_min_rank
 from sktdpc.sparse import SparseDistanceMatrix
 
@@ -454,11 +456,19 @@ def test_subtree_min_rank_equals_per_node_loop(points):
         assert subtree_min_rank(tree, rank).tolist() == reference_subtree_min_rank(tree, rank)
 
 
-def reference_knn_query(tree, target, k, cache):
+def reference_knn_query(tree, target, k, cache, plain=False):
     """The recursive depth-first search the lockstep traversal replaced, kept
-    as its oracle: near child first, far child only when fewer than k
-    candidates are kept, or the plane is no farther than the k-th best; one
-    scalar ``cache.distance`` per visited node."""
+    as its oracle: near child first.  At an internal node ``reach``, the
+    target-to-plane distance taken as ``sqrt(diff * diff)``, bounds both the
+    node's point and the far subtree: each is evaluated or searched only
+    while fewer than k candidates are kept, or reach is no farther than the
+    k-th best.  A leaf has no plane, so its point is always evaluated.  One
+    scalar ``cache.distance`` per evaluated point.
+
+    ``plain=True`` gives plain hyperplane pruning instead, kept as a
+    superset check: every visited node's point is evaluated, and the far
+    subtree is bounded by ``|diff|``, which is no lower bound once squares
+    underflow."""
     point, split_dim, split_value, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
     )
@@ -467,9 +477,15 @@ def reference_knn_query(tree, target, k, cache):
     # (largest distance, then largest index), as (-distance, -index).
     heap = []
 
+    def within(reach):
+        return len(heap) < k or reach <= -heap[0][0]
+
     def search(v):
-        idx = point[v]
-        if idx != target:
+        idx, dim = point[v], split_dim[v]
+        if dim >= 0:
+            diff = coords[dim] - split_value[v]
+            reach = abs(diff) if plain else math.sqrt(diff * diff)
+        if idx != target and (dim < 0 or plain or within(reach)):
             d = cache.distance(target, idx)
             if len(heap) < k:
                 heapq.heappush(heap, (-d, -idx))
@@ -477,21 +493,56 @@ def reference_knn_query(tree, target, k, cache):
                 worst_d, worst_i = heap[0]
                 if (d, idx) < (-worst_d, -worst_i):
                     heapq.heapreplace(heap, (-d, -idx))
-        if split_dim[v] < 0:
+        if dim < 0:
             return
-        diff = coords[split_dim[v]] - split_value[v]
         if diff <= 0.0:
             near, far = left[v], right[v]
         else:
             near, far = right[v], left[v]
         if near >= 0:
             search(near)
-        if far >= 0 and (len(heap) < k or (diff if diff >= 0.0 else -diff) <= -heap[0][0]):
+        if far >= 0 and within(reach):
             search(far)
 
     search(0)
     found = sorted((-d, -i) for d, i in heap)
     return [i for _, i in found], [d for d, _ in found]
+
+
+def plain_nearest_denser(tree, targets, rank, cache):
+    """The nearest-denser walk with plain hyperplane pruning, kept as a
+    superset check: every visited node's denser point is evaluated, and the
+    far subtree is bounded by ``|diff|``.  Returns the (distance, index)
+    pair of each target."""
+    min_rank = reference_subtree_min_rank(tree, rank)
+    point, split_dim, split_value, left, right = (
+        a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    )
+    rank = rank.tolist()
+    out = []
+    for target in targets.tolist():
+        coords, r = tree.dataset.points[target].tolist(), rank[target]
+        best = (math.inf, -1)
+        stack = [(0, 0.0)]
+        while stack:
+            v, bound = stack.pop()
+            if min_rank[v] >= r or bound > best[0]:
+                continue
+            if rank[point[v]] < r:
+                d = cache.distance(target, point[v])
+                if best[1] < 0 or (d, point[v]) < best:
+                    best = (d, point[v])
+            dim = split_dim[v]
+            if dim < 0:
+                continue
+            diff = coords[dim] - split_value[v]
+            near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
+            if far >= 0:
+                stack.append((far, abs(diff)))
+            if near >= 0:
+                stack.append((near, bound))
+        out.append(best)
+    return out
 
 
 def _assert_knn_all_equals_reference(d, k):
@@ -543,6 +594,38 @@ def test_knn_all_equals_reference_search_beyond_1024_lanes():
 @given(adversarial())
 def test_knn_all_equals_reference_search_on_adversarial_inputs(case):
     _assert_knn_all_equals_reference(*case)
+
+
+def _underflowing(dim, scale):
+    """200 uniform points scaled so far down that every squared coordinate
+    difference underflows to 0: every distance is 0, yet every plane lies
+    a nonzero ``|diff|`` away."""
+    return Dataset(np.random.default_rng(1).random((200, dim)) * scale)
+
+
+_UNDERFLOW = [(2, 1e-170), (1, 1e-200), (3, 2.0**-600)]
+_UNDERFLOW_IDS = ["2d-1e-170", "1d-1e-200", "3d-2^-600"]
+
+
+@pytest.mark.parametrize("dim, scale", _UNDERFLOW, ids=_UNDERFLOW_IDS)
+def test_knn_all_equals_brute_force_where_squares_underflow(dim, scale):
+    """The plane bound is ``sqrt(diff * diff)``, which underflows with the
+    distances; ``|diff|`` pruned every far subtree here."""
+    d = _underflowing(dim, scale)
+    _assert_knn_all_equals_brute_force(d, 7)
+    _assert_knn_all_equals_reference(d, 7)
+
+
+@pytest.mark.parametrize("dim, scale", _UNDERFLOW, ids=_UNDERFLOW_IDS)
+def test_nearest_denser_all_equals_scan_where_squares_underflow(dim, scale):
+    d = _underflowing(dim, scale)
+    m = full_matrix(d)
+    rank = np.random.default_rng(2).permutation(d.n)
+    cache = SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(build(d), np.arange(d.n), rank, cache)
+    want = [min(((m[i, j], j) for j in range(d.n) if rank[j] < rank[i]), default=(math.inf, -1))
+            for i in range(d.n)]
+    assert list(zip(got_d.tolist(), got_j.tolist())) == want
 
 
 def test_identical_points_build_and_search_without_recursion():
@@ -933,3 +1016,67 @@ def test_variances_see_at_most_two_lengths_per_level(points, monkeypatch):
     monkeypatch.setattr(kdtree, "_variances", spy)
     build(Dataset(points))
     assert lengths and max(lengths) <= 2
+
+
+def _assert_pairs_within_plain_pruning(d, k):
+    """Plane-reach pruning only drops work: from every query of a sample of
+    at most about 200, the pairs the k-NN search evaluates, and those the
+    nearest-denser walk evaluates (density ranks of the k-NN result), are
+    among the pairs plain hyperplane pruning evaluates from the same query
+    on the same tree, and the walk finds the same points.  Where squares do
+    not underflow, sqrt(diff * diff) == |diff|, so both rules take the same
+    path and keep the same best; the new rule skips only node points that
+    could not enter it."""
+    tree = build(d)
+    queries = np.arange(0, d.n, -(-d.n // 200))
+    _, _, keys = kdtree._lockstep_knn(tree, queries, k)
+    plain = SparseDistanceMatrix(d.points)
+    for i in queries.tolist():
+        reference_knn_query(tree, i, k, plain, plain=True)
+    assert set(zip(*(a.tolist() for a in np.divmod(keys, d.n)))) <= plain.pairs()
+    _, order = core.local_density(knn_all(tree, k)[0])
+    rank = np.empty(d.n, dtype=np.int64)
+    rank[order] = np.arange(d.n)
+    walk, plain_walk = SparseDistanceMatrix(d.points), SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(tree, queries, rank, walk)
+    assert list(zip(got_d.tolist(), got_j.tolist())) == plain_nearest_denser(
+        tree, queries, rank, plain_walk
+    )
+    assert walk.pairs() <= plain_walk.pairs()
+
+
+@pytest.mark.parametrize(
+    "make",
+    # at 2^-600 every square underflows, so |diff| is no bound and plain
+    # pruning misses pairs an exact search needs (the underflow tests above)
+    [make for make in _BUILD_CASES if make.__name__ != "scaled_2^-600"],
+    ids=lambda make: make.__name__,
+)
+def test_pairs_within_plain_pruning(make):
+    points = make()
+    _assert_pairs_within_plain_pruning(Dataset(points), min(7, len(points) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(adversarial())
+def test_pairs_within_plain_pruning_on_adversarial_inputs(case):
+    _assert_pairs_within_plain_pruning(*case)
+
+
+@pytest.mark.parametrize(
+    "workload", ["blobs15-5000", "uniform-7000x2", "uniform-2000x8", "sweep-bundled"]
+)
+def test_pairs_within_plain_pruning_on_benchmark_inputs(workload):
+    for c in _benchmark_cells(workload):
+        _assert_pairs_within_plain_pruning(c.data, c.k)
+
+
+def _benchmark_cells(workload):
+    """The benchmark's cells at seed 1, from its own ``workloads`` module."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return workloads.setup(workload, 1)
