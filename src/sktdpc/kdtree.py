@@ -18,15 +18,14 @@ computed distance it skips, underflow included (``|diff|`` is not once
 squares underflow to 0).  A leaf has no plane, and its point is always
 evaluated.
 
-The k-NN search runs every query in lockstep: all queries walk the tree
-together, one stack pop each per step, with numpy vectors across the
-queries.  Each query still pops exactly the nodes a depth-first search of
-its own would (Friedman, Bentley & Finkel, ACM TOMS 1977).  A query's
-state lives in one lane of dense arrays, which a step reads without
-gathering, in about 50 numpy calls whatever the dimension; the live lanes
-move to narrower arrays once half have finished.  The neighbours come back
-as one record array whose ``indices`` and ``distances`` fields are (n, k)
-arrays, and the keys of every pair evaluated on the way build the
+The k-NN search is one small C function, ``_knn.c``, compiled by ``cc``
+once per source hash at import and called through ``ctypes``.  It runs the
+depth-first search of every query in turn, near child first (Friedman,
+Bentley & Finkel, ACM TOMS 1977), keeps the k best in (distance, index)
+order, and sums squares dimension by dimension as ``full_matrix`` does, so
+every distance has its bits.  The neighbours come back as one record array
+whose ``indices`` and ``distances`` fields are (n, k) arrays, and the keys
+of every pair evaluated on the way build the
 :class:`~sktdpc.sparse.SparseDistanceMatrix` that downstream stages reuse.
 
 The nearest-denser search finds, for all the points it is given in one
@@ -38,7 +37,12 @@ not smaller than the query's, as in the dependent-point search of Ex-DPC
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+from pathlib import Path
 
 import numpy as np
 
@@ -174,174 +178,89 @@ def build(d: Dataset) -> KdTree:
     return KdTree(d)
 
 
-def _lockstep_knn(
-    tree: KdTree, targets: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_kernel(cache: Path) -> ctypes.CDLL:
+    """The k-NN kernel ``_knn.c``, compiled by ``cc`` into ``cache`` once
+    per hash of its source and flags, and loaded from there after that.
+
+    The compiler writes a temporary file that ``os.replace`` moves into
+    place, so processes building at once never load a partial library.  The
+    flags keep IEEE arithmetic: no ``-ffast-math``, ``-Ofast`` or
+    ``-march=native``, and no contraction into fused multiply-adds, which
+    would change distance bits.  ImportError without a working ``cc``."""
+    source = Path(__file__).with_name("_knn.c")
+    flags = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    digest = hashlib.sha256(source.read_bytes() + " ".join(flags).encode()).hexdigest()
+    library = cache / f"_knn-{digest[:16]}.so"
+    if not library.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        partial = library.with_suffix(f".{os.getpid()}.tmp")
+        try:
+            subprocess.run(
+                ["cc", *flags, "-o", str(partial), str(source), "-lm"],
+                check=True, capture_output=True, text=True,
+            )
+            os.replace(partial, library)
+        except FileNotFoundError:
+            raise ImportError("sktdpc needs a C compiler, cc, to build its k-NN kernel") from None
+        except subprocess.CalledProcessError as e:
+            raise ImportError(f"cc could not build the k-NN kernel:\n{e.stderr}") from None
+        finally:
+            partial.unlink(missing_ok=True)
+    kernel = ctypes.CDLL(str(library))
+    kernel.knn_search.restype = ctypes.c_int64
+    kernel.knn_search.argtypes = (
+        [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2
+        + [ctypes.c_void_p] * 3 + [ctypes.c_int, ctypes.c_int64, ctypes.c_void_p]
+    )
+    return kernel
+
+
+_KERNEL = _load_kernel(Path(__file__).with_name("__pycache__"))
+
+
+def _key_capacity(n_keys: int, done: int, m: int, n: int) -> int:
+    """Length the key buffer grows to once ``n_keys`` keys are written for
+    the first ``done`` of ``m`` queries over ``n`` points: room for one
+    more query, which evaluates at most n - 1 pairs, and for the others at
+    the mean rate so far (8 keys a query before any is done)."""
+    rate = n_keys / done if done else 8
+    return n_keys + n + int(rate * (m - done))
+
+
+def _knn(tree: KdTree, targets: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact k nearest neighbors of every point in ``targets``.
 
     Returns ``(indices, distances, keys)``: two ``(len(targets), k)`` arrays,
     each row ascending by (distance, index), and the key ``lo * n + hi`` of
     every pair evaluated, repeats included, of dtype
-    :func:`~sktdpc.sparse.key_dtype`; a step computes its keys in int64 and
-    narrows them only as it stores them.
-
-    All queries advance together, one stack pop each per step.  A query's
-    pops are those of the depth-first search that visits the near child
-    first.  At an internal node, ``reach = sqrt(plane * plane)`` of the
-    target's difference ``plane`` to the split value bounds the node's point
-    and the far subtree: the point is evaluated, and the far child pushed,
-    only when fewer than k candidates are kept (the k-th best is inf) or
-    reach is at most the k-th best distance.  A leaf's point is always
-    evaluated.  The far child is pushed with bound reach and tested again
-    when popped, which is when the depth-first search tests it, after the
-    near subtree; a near child is pushed with -inf.  A pair is counted
-    exactly when it is evaluated.  Squared differences are summed dimension
-    by dimension, as in ``baseline.full_matrix``, so distances are
-    bit-identical to it.
-
-    Each query runs in a lane, and every lane array is in lane order, so a
-    step reads its state without gathering.  A lane's stack is a run of
-    ``depth + 2`` slots in one flat array.  Its last slot is never written
-    and holds the bound NaN, which fails every test: an empty lane reads
-    the slot just below its own stack, the last slot of the lane before it
-    (of the last lane, for lane 0), and pops nothing.  Once at most half
-    the lanes are live, the live ones move to the front of narrower arrays,
-    padded with finished ones to a width from :func:`_width`.
-
-    A candidate is the complex number ``distance + index * 1j``: numpy
-    orders complex numbers by real part, then imaginary part, which is the
-    (distance, index) order, and indices below 2**53 are exact.  A lane's
-    row is -inf, its k best candidates in order, and the candidate of this
-    step.  Merging that in sets each column c in 1..k to
-    ``min(max(row[c - 1], candidate), row[c])``; a candidate that ranks
-    after the k-th, ties included, changes nothing.  Unfilled columns hold
-    the sentinel ``(inf, n)``, which every real candidate beats.
-    """
-    pts = tree.dataset.points
-    n = len(pts)
+    :func:`~sktdpc.sparse.key_dtype`.  The kernel searches the queries one
+    after another and stops before a query when fewer than n key slots are
+    free; the buffer then grows (:func:`_key_capacity`) and the kernel
+    resumes at that query.  ``ndarray.resize`` grows the buffer by
+    ``realloc``, so no second buffer is held beside it, and the last resize
+    trims it to the keys written."""
+    pts = np.ascontiguousarray(tree.dataset.points)
+    n, dim = pts.shape
+    targets = np.ascontiguousarray(targets, dtype=np.int64)
     m = len(targets)
-    # one record per node, read by one take: its point, split dimension,
-    # children and point times n
-    record = np.stack((tree.point, tree.split_dim, tree.left, tree.right, tree.point * n))
-    coords = np.ascontiguousarray(pts[tree.point].T)  # by dimension, then node
-    slots = tree.depth() + 2
-    # row m takes the lanes that pad the first width
-    indices = np.empty((m + 1, k), dtype=np.int64)
-    distances = np.empty((m + 1, k))
-    keys = np.empty(8 * m, dtype=key_dtype(n))
-    n_keys = 0
-
-    width = _width(m)
-    row = np.minimum(np.arange(width), m)
-    point = np.zeros(width, dtype=np.int64)
-    point[:m] = targets
-    target = np.ascontiguousarray(pts[point].T)
-    stack = np.zeros(width * slots, dtype=np.int64)  # the root is node 0
-    bound = np.full(width * slots, np.nan)
-    bound[: m * slots : slots] = -np.inf
-    height = np.where(row < m, 0, -1)  # slot of each lane's top entry
-    best = np.full((width + 1, k + 2), complex(np.inf, n))  # row width pads
-    best[:, 0] = -np.inf
-    while True:  # one pass per width
-        lane = np.arange(width)
-        base = lane * slots
-        top = base + height
-        point_n = point * n
-        worst = best.real[:width, k]
-        d, index = best.real[:width, k + 1], best.imag[:width, k + 1]
-        scratch = np.full(width, width)  # pads insertion batches
-        while True:
-            node = stack[top]
-            go = bound[top] <= worst
-            rec = record.take(node, axis=1)
-            j, dims, children = rec[0], rec[1], rec[2:4]
-            diff = coords.take(node, axis=1)
-            diff -= target
-            dims *= width  # flat index of the split coordinate; a leaf's
-            dims += lane  # -1 reads the last row, and its plane goes unused
-            plane = diff.take(dims)  # split value minus target coordinate
-            reach = plane * plane
-            np.sqrt(reach, out=reach)
-            # the node's point and the far side lie at least reach away
-            inside = reach <= worst
-            inside |= dims < 0  # a leaf has no plane
-            visit = j != point
-            visit &= go
-            visit &= inside
-            diff *= diff
-            np.sqrt(diff.sum(axis=0), out=d)
-            index[...] = j
-
-            pair = point_n + j  # lo * n + hi is the smaller of the two
-            np.minimum(pair, rec[4] + point, out=pair)
-            pair = pair.compress(visit)
-            count = len(pair)
-            if n_keys + count > len(keys):
-                grown = np.empty(2 * (n_keys + count), dtype=keys.dtype)
-                grown[:n_keys] = keys[:n_keys]
-                keys = grown
-            keys[n_keys : n_keys + count] = pair
-            n_keys += count
-
-            better = d <= worst
-            better &= visit
-            (better,) = better.nonzero()
-            count = len(better)
-            if count:
-                at = scratch[: _width(count)].copy()
-                at[:count] = better
-                kept = best.take(at, axis=0)
-                high = np.maximum(kept[:, :k], kept[:, k + 1 :])
-                np.minimum(high, kept[:, 1 : k + 1], out=kept[:, 1 : k + 1])
-                best[at] = kept
-
-            near_far = np.where(plane >= 0.0, children, children[::-1])  # (near, far)
-            exists = near_far >= 0
-            exists &= go
-            exists[1] &= inside
-            # Both children are written from the popped slot up (slot 0 for
-            # an empty lane), and the stack grows only over those that exist
-            # for a lane whose node passed its bound, the far one only
-            # within reach.
-            at = np.maximum(top, base)
-            stack[at] = near_far[1]
-            bound[at] = reach
-            at += exists[1]
-            stack[at] = near_far[0]
-            bound[at] = -np.inf
-            at += exists[0]
-            at -= 1
-            top = at
-            live = np.count_nonzero(top >= base)
-            if not live or 2 * _width(live) <= width:
-                break
-        # final for every lane that has finished
-        indices[row] = best.imag[:width, 1 : k + 1]
-        distances[row] = best.real[:width, 1 : k + 1]
-        if not live:
+    coords = pts[tree.point]  # row v: node v's point
+    indices = np.empty((m, k), dtype=np.int64)
+    distances = np.empty((m, k))
+    keys = np.empty(_key_capacity(0, 0, m, n), dtype=key_dtype(n))
+    n_keys = ctypes.c_int64(0)
+    done = 0
+    while True:
+        done = _KERNEL.knn_search(
+            n, dim, k, coords.ctypes.data, tree.point.ctypes.data, tree.split_dim.ctypes.data,
+            tree.left.ctypes.data, tree.right.ctypes.data, pts.ctypes.data, targets.ctypes.data,
+            m, done, indices.ctypes.data, distances.ctypes.data, keys.ctypes.data,
+            keys.dtype == np.int64, len(keys), ctypes.byref(n_keys),
+        )
+        if done == m:
             break
-        # live lanes first, then finished ones to pad the narrower width
-        keep = np.argsort(top < base, kind="stable")[: _width(live)]
-        row, point, target = row[keep], point[keep], target[:, keep]
-        stack = stack.reshape(width, slots)[keep].ravel()
-        bound = bound.reshape(width, slots)[keep].ravel()
-        best = best[np.append(keep, width)]
-        height = (top - base)[keep]
-        width = len(keep)
-    return indices[:m], distances[:m], keys[:n_keys]
-
-
-def _width(count: int) -> int:
-    """Length of the arrays for ``count`` lanes or rows: ``count`` from 1024
-    up, else the next power of two, and at least 2.
-
-    numpy keeps freed buffers under 1 KiB for reuse, up to seven per
-    distinct byte size; per-step arrays of every length below 1024 would
-    fill that cache with megabytes, power-of-two lengths leave it a few
-    kilobytes.  A ``(dim, 1)`` block would be summed over its dimensions
-    along the fast axis, which numpy does pairwise, in another order."""
-    count = int(count)
-    return count if count >= 1024 else max(2, 1 << (count - 1).bit_length())
+        keys.resize(_key_capacity(n_keys.value, done, m, n), refcheck=False)
+    keys.resize(n_keys.value, refcheck=False)
+    return indices, distances, keys
 
 
 def _check_count(name: str, value: int, top: int) -> None:
@@ -367,16 +286,17 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
 
     The neighbors are n records; their ``indices`` and ``distances`` fields
     are (n, k) arrays, row i ascending by (distance, index), so distance
-    ties go to the lower point index.  A node's point and its far subtree
-    are skipped only when the target-to-plane bound ``sqrt(diff * diff)``
-    already exceeds the current k-th-best distance; a leaf's point is
-    always evaluated.  The ledger records the union of the pairs the
-    queries evaluated, each counted once, from one sorted block of their
-    keys: int32 while n * n < 2**31, else int64
-    (:func:`~sktdpc.sparse.key_dtype`).
+    ties go to the lower point index.  Each point's query is a depth-first
+    search, near child first: a node's point is evaluated, and its far
+    child pushed with bound ``reach = sqrt(diff * diff)``, only when reach
+    is at most the current k-th-best distance (inf until k are kept); the
+    far child is tested again when popped, and a leaf's point is always
+    evaluated.  The ledger records the union of the pairs the queries
+    evaluated, each counted once, from one sorted block of their keys:
+    int32 while n * n < 2**31, else int64 (:func:`~sktdpc.sparse.key_dtype`).
     """
     _check_count("k", k, tree.dataset.n - 1)
-    indices, distances, keys = _lockstep_knn(tree, np.arange(tree.dataset.n), k)
+    indices, distances, keys = _knn(tree, np.arange(tree.dataset.n), k)
     return _records(indices, distances), SparseDistanceMatrix(tree.dataset.points, tree, keys)
 
 

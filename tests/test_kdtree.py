@@ -2,6 +2,7 @@ import ast
 import heapq
 import inspect
 import math
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -127,16 +128,16 @@ def test_oracle_equivalence_random_shapes(seed):
 
 @pytest.mark.parametrize("dim", [8, 11, 16])
 def test_single_query_distance_bits_in_many_dimensions(dim):
-    """One query is one lane, in arrays of width 2; its squared differences
-    are still summed dimension by dimension, as ``full_matrix`` sums them
-    (numpy's own sum along a contiguous axis adds pairwise from 8 terms up,
-    in other bits), and it evaluates the pairs of the recursive search."""
+    """A single query sums its squared differences dimension by dimension,
+    as ``full_matrix`` sums them (a pairwise or vectorised sum, as numpy's
+    own along a contiguous axis from 8 terms up, gives other bits), and it
+    evaluates the pairs of the recursive search."""
     rng = np.random.default_rng(dim)
     d = Dataset(rng.normal(size=(40, dim)) * 10.0 ** rng.uniform(-3, 3, size=(40, dim)))
     tree = build(d)
     want = brute_knn_all(full_matrix(d), 5)
     for i in range(d.n):
-        indices, distances, keys = kdtree._lockstep_knn(tree, np.array([i]), 5)
+        indices, distances, keys = kdtree._knn(tree, np.array([i]), 5)
         assert indices.tolist() == want.indices[i : i + 1].tolist()
         assert distances.tobytes() == want.distances[i : i + 1].tobytes()
         ref_cache = SparseDistanceMatrix(d.points)
@@ -457,13 +458,14 @@ def test_subtree_min_rank_equals_per_node_loop(points):
 
 
 def reference_knn_query(tree, target, k, cache, plain=False):
-    """The recursive depth-first search the lockstep traversal replaced, kept
-    as its oracle: near child first.  At an internal node ``reach``, the
-    target-to-plane distance taken as ``sqrt(diff * diff)``, bounds both the
-    node's point and the far subtree: each is evaluated or searched only
-    while fewer than k candidates are kept, or reach is no farther than the
-    k-th best.  A leaf has no plane, so its point is always evaluated.  One
-    scalar ``cache.distance`` per evaluated point.
+    """The recursive depth-first search, kept as the oracle of the k-NN
+    kernel, which runs it with an explicit stack: near child first.  At an
+    internal node ``reach``, the target-to-plane distance taken as
+    ``sqrt(diff * diff)``, bounds both the node's point and the far subtree:
+    each is evaluated or searched only while fewer than k candidates are
+    kept, or reach is no farther than the k-th best.  A leaf has no plane,
+    so its point is always evaluated.  One scalar ``cache.distance`` per
+    evaluated point.
 
     ``plain=True`` gives plain hyperplane pruning instead, kept as a
     superset check: every visited node's point is evaluated, and the far
@@ -580,20 +582,54 @@ def test_knn_all_equals_reference_search(make, k):
     _assert_knn_all_equals_reference(d, d.n - 1 if k == "n-1" else k)
 
 
-def test_knn_all_equals_reference_search_beyond_1024_lanes():
-    """1100 queries start in lanes that are not padded to a power of two
-    and are moved to narrower arrays several times, down to a few lanes."""
+def test_knn_all_equals_reference_search_as_keys_grow_and_resume(monkeypatch):
+    """With the key buffer grown only to room for one more query, the
+    kernel stops before every query but the first, and each resumes where
+    the last stopped, with its keys after those already written."""
     grid = np.stack(np.meshgrid(np.arange(11), np.arange(10), np.arange(10)), -1)
     points = grid.reshape(-1, 3).astype(float)
     d = Dataset(points[np.random.default_rng(11).permutation(len(points))])
-    assert d.n > 1024
+    calls = []
+
+    def one_query(n_keys, done, m, n):
+        calls.append(done)
+        return n_keys + n
+
+    monkeypatch.setattr(kdtree, "_key_capacity", one_query)
     _assert_knn_all_equals_reference(d, 7)
+    assert calls == list(range(d.n))
 
 
 @settings(max_examples=150, deadline=None)
 @given(adversarial())
 def test_knn_all_equals_reference_search_on_adversarial_inputs(case):
     _assert_knn_all_equals_reference(*case)
+
+
+def test_kernel_is_built_once_then_loaded_without_the_compiler(tmp_path, monkeypatch):
+    kdtree._load_kernel(tmp_path)
+    assert [p.name.startswith("_knn-") and p.suffix == ".so" for p in tmp_path.iterdir()] == [True]
+
+    def compiler(*args, **kwargs):
+        raise AssertionError("cc ran for a cached kernel")
+
+    monkeypatch.setattr(subprocess, "run", compiler)
+    assert kdtree._load_kernel(tmp_path).knn_search.restype is kdtree.ctypes.c_int64
+
+
+def test_kernel_build_without_a_compiler_is_an_import_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))  # a directory without cc
+    with pytest.raises(ImportError, match=r"\bcc\b"):
+        kdtree._load_kernel(tmp_path / "cache")
+    assert list((tmp_path / "cache").iterdir()) == []  # no partial library left
+
+
+def test_subnormals_survive_loading_the_kernel():
+    """A library built with -ffast-math links crtfastmath, which turns on
+    flush-to-zero and denormals-are-zero for the whole process when it is
+    loaded; twice the smallest subnormal would then read 0."""
+    assert kdtree._KERNEL is not None
+    assert np.nextafter(0.0, 1.0) * 2.0 > 0.0
 
 
 def _underflowing(dim, scale):
@@ -681,7 +717,7 @@ def test_cache_rejects_keys_outside_the_pair_range(key):
 
 
 def test_knn_all_ledger_keys_are_int32_on_small_input(two_blobs):
-    _, _, keys = kdtree._lockstep_knn(build(two_blobs), np.arange(two_blobs.n), 4)
+    _, _, keys = kdtree._knn(build(two_blobs), np.arange(two_blobs.n), 4)
     assert keys.dtype == np.int32
     _, cache = knn_all(build(two_blobs), 4)
     assert cache._block.dtype == np.int32
@@ -1029,7 +1065,7 @@ def _assert_pairs_within_plain_pruning(d, k):
     could not enter it."""
     tree = build(d)
     queries = np.arange(0, d.n, -(-d.n // 200))
-    _, _, keys = kdtree._lockstep_knn(tree, queries, k)
+    _, _, keys = kdtree._knn(tree, queries, k)
     plain = SparseDistanceMatrix(d.points)
     for i in queries.tolist():
         reference_knn_query(tree, i, k, plain, plain=True)
