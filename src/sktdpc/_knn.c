@@ -1,4 +1,6 @@
-/* Exact k nearest neighbours over the preorder k-d tree of kdtree.py.
+/* The k-d tree search of kdtree.py: exact k nearest neighbours, and with a
+   rank filter the nearest point of smaller rank (the dependent-point search
+   of Ex-DPC, Amagata & Hara, SIGMOD 2021).
 
    Each query runs the depth-first search of Friedman, Bentley & Finkel
    (ACM TOMS 1977), near child first, one query after another.  At an
@@ -29,18 +31,24 @@
    of the (m, k) arrays indices and distances, ascending by (distance,
    index), unfilled columns (inf, n).  The key lo * n + hi of every pair
    evaluated is appended to keys, int64 when wide, else int32, at slot
-   *n_keys, which ends past the last one written. */
+   *n_keys, which ends past the last one written.  The rank filter (rank,
+   min_rank, read) is NULL for k-NN.  With it, node v is skipped when
+   min_rank[v], the smallest rank in its subtree, is not below rank[t];
+   only points of smaller rank are evaluated, each by read(t, j), no key is
+   written and capacity is not checked; a NaN read returns -1 at once. */
 int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                    const int64_t *point, const int64_t *split_dim,
                    const int64_t *left, const int64_t *right,
                    const double *points, const int64_t *targets, int64_t m,
                    int64_t done, int64_t *indices, double *distances,
-                   void *keys, int wide, int64_t capacity, int64_t *n_keys)
+                   void *keys, int wide, int64_t capacity, int64_t *n_keys,
+                   const int64_t *rank, const int64_t *min_rank,
+                   double (*read)(int64_t, int64_t))
 {
     int64_t stack[STACK];
     double bound[STACK];
     int64_t count = *n_keys;
-    for (; done < m && capacity - count >= n; done++) {
+    for (; done < m && (rank || capacity - count >= n); done++) {
         int64_t t = targets[done];
         const double *x = points + t * dim;
         int64_t *best_i = indices + done * k;
@@ -56,7 +64,7 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
             h--;
             int64_t v = stack[h];
             double worst = best_d[k - 1];
-            if (!(bound[h] <= worst))
+            if (!(bound[h] <= worst) || (rank && min_rank[v] >= rank[t]))
                 continue;
             const double *p = coords + v * dim;
             int64_t s = split_dim[v];
@@ -67,18 +75,23 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
             }
             int inside = reach <= worst; /* a leaf has no plane: reach 0 */
             int64_t j = point[v];
-            if (j != t && inside) {
-                double sq = 0.0;
-                for (int64_t d = 0; d < dim; d++) {
-                    double e = p[d] - x[d];
-                    sq += e * e;
+            if (j != t && inside && (!rank || rank[j] < rank[t])) {
+                double dist = 0.0;
+                if (rank) {
+                    if (isnan(dist = read(t, j)))
+                        return -1;
+                } else {
+                    for (int64_t d = 0; d < dim; d++) {
+                        double e = p[d] - x[d];
+                        dist += e * e;
+                    }
+                    dist = sqrt(dist);
+                    int64_t key = j < t ? j * n + t : t * n + j;
+                    if (wide)
+                        ((int64_t *)keys)[count++] = key;
+                    else
+                        ((int32_t *)keys)[count++] = (int32_t)key;
                 }
-                double dist = sqrt(sq);
-                int64_t key = j < t ? j * n + t : t * n + j;
-                if (wide)
-                    ((int64_t *)keys)[count++] = key;
-                else
-                    ((int32_t *)keys)[count++] = (int32_t)key;
                 if (dist < worst || (dist == worst && j < best_i[k - 1])) {
                     int64_t c = k - 1;
                     while (c > 0 && (dist < best_d[c - 1] ||

@@ -102,14 +102,14 @@ def dpc_original(
     if not (math.isfinite(dc) and dc > 0):
         raise ValueError(f"dc must be a positive finite number, got {dc}")
     _check_count("n_centers", n_centers, d.n)
+    if kernel not in ("cutoff", "gaussian"):  # before the 8n^2-byte matrix
+        raise ValueError(f"unknown kernel {kernel!r}")
     t0 = time.perf_counter()
     m = full_matrix(d)
     if kernel == "cutoff":
         density = (m < dc).sum(axis=1).astype(np.float64) - 1.0  # drop self
-    elif kernel == "gaussian":
-        density = np.exp(-((m / dc) ** 2)).sum(axis=1) - 1.0  # drop self term
     else:
-        raise ValueError(f"unknown kernel {kernel!r}")
+        density = np.exp(-((m / dc) ** 2)).sum(axis=1) - 1.0  # drop self term
     density_order = core._descending_order(density)
     separation, nearest_denser = brute_separation(m, density_order)
     decision, decision_order = core.decision_values(density, separation)

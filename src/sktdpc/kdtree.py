@@ -10,29 +10,28 @@ bit, as one split per node would give.  Nothing here recurses.
 
 Both searches prune by one rule.  A node's point lies on its own split
 plane and every point of its far subtree lies beyond it, so the target's
-difference ``diff`` to the split value bounds the distances of them all:
-at an internal node whose ``reach = sqrt(diff * diff)`` is beyond the best
-distance so far, a search skips the node's point and its far subtree.  Rounded
-squares, sums and square roots are monotone, so reach is at most every
-computed distance it skips, underflow included (``|diff|`` is not once
-squares underflow to 0).  A leaf has no plane, and its point is always
-evaluated.
+difference ``diff`` to the split value (the node's point's coordinate in
+its split dimension) bounds the distances of them all: at an internal node
+whose ``reach = sqrt(diff * diff)`` is beyond the best distance so far, a
+search skips the node's point and its far subtree.  Rounded squares, sums
+and square roots are monotone, so reach is at most every computed distance
+it skips, underflow included (``|diff|`` is not once squares underflow to
+0).  A leaf has no plane, and its point is always evaluated.
 
-The k-NN search is one small C function, ``_knn.c``, compiled by ``cc``
+Both searches are one small C function, ``_knn.c``, compiled by ``cc``
 once per source hash at import and called through ``ctypes``.  It runs the
 depth-first search of every query in turn, near child first (Friedman,
-Bentley & Finkel, ACM TOMS 1977), keeps the k best in (distance, index)
-order, and sums squares dimension by dimension as ``full_matrix`` does, so
-every distance has its bits.  The neighbours come back as one record array
-whose ``indices`` and ``distances`` fields are (n, k) arrays, and the keys
-of every pair evaluated on the way build the
+Bentley & Finkel, ACM TOMS 1977), and keeps the k best in (distance, index)
+order.  The k-NN search sums squares dimension by dimension as
+``full_matrix`` does, so every distance has its bits.  The neighbours come
+back as one record array whose ``indices`` and ``distances`` fields are
+(n, k) arrays, and the keys of every pair evaluated on the way build the
 :class:`~sktdpc.sparse.SparseDistanceMatrix` that downstream stages reuse.
 
-The nearest-denser search finds, for all the points it is given in one
-call, the closest point of smaller density rank.  Besides the plane bound
-it skips every subtree whose smallest rank (:func:`subtree_min_rank`) is
-not smaller than the query's, as in the dependent-point search of Ex-DPC
-(Amagata & Hara, SIGMOD 2021).
+The nearest-denser search is the same function at k = 1 with a rank
+filter, as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD
+2021): it skips every subtree whose smallest rank (:func:`subtree_min_rank`)
+is not below the query's and reads each distance from the ledger.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class KdTree:
     Nodes are numbered in preorder (a node, then its left subtree, then its
     right subtree; the root is node 0), one node per point.  For node ``v``:
     ``point[v]`` is its point, ``split_dim[v]`` its split dimension (-1 at a
-    leaf), ``split_value[v]`` that point's coordinate in it, and
+    leaf), the point's coordinate there being the split value, and
     ``left[v]``/``right[v]`` its children (-1 when absent).  Left-subtree
     points precede ``point[v]`` in (coordinate, index) order, right-subtree
     points follow it; ``left`` and ``right`` depend on n alone.
@@ -67,7 +66,7 @@ class KdTree:
         arrays = _build(dataset.points)
         for a in arrays:
             a.setflags(write=False)
-        self.point, self.split_dim, self.split_value, self.left, self.right = arrays
+        self.point, self.split_dim, self.left, self.right = arrays
 
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path: floor(log2 n) + 1."""
@@ -75,9 +74,10 @@ class KdTree:
 
     def dump(self) -> str:
         """Indented text rendering of the tree structure, for golden tests."""
-        point, split_dim, split_value, left, right = (
-            a.tolist() for a in (self.point, self.split_dim, self.split_value, self.left, self.right)
+        point, split_dim, left, right = (
+            a.tolist() for a in (self.point, self.split_dim, self.left, self.right)
         )
+        split_value = self.dataset.points[self.point, self.split_dim].tolist()  # leaves: unused
         out: list[str] = []
         stack = [(0, 0)]
         while stack:
@@ -95,7 +95,7 @@ class KdTree:
 
 
 def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Preorder arrays (point, split_dim, split_value, left, right).
+    """Preorder arrays (point, split_dim, left, right).
 
     One pass per level splits every subtree of that depth.  The live points
     form one permutation cut into contiguous segments, one per subtree, each
@@ -116,7 +116,6 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
     n, dim = points.shape
     point = np.empty(n, dtype=np.int64)
     split_dim = np.full(n, -1, dtype=np.int64)
-    split_value = np.zeros(n)
     left = np.full(n, -1, dtype=np.int64)
     right = np.full(n, -1, dtype=np.int64)
     rank = np.empty((dim, n), dtype=key_dtype(n))
@@ -138,7 +137,6 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
         mid = start + low
         point[node] = perm[mid]
         split_dim[node[inner]] = dims[inner]
-        split_value[node[inner]] = points[perm[mid[inner]], dims[inner]]
         left[node[low > 0]] = node[low > 0] + 1
         right[node[high > 0]] = (node + 1 + low)[high > 0]
         perm = np.delete(perm, mid)
@@ -148,7 +146,7 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
         size = np.column_stack((low, high)).ravel()
         live = size > 0
         start, node, size = start[live], node[live], size[live]
-    return point, split_dim, split_value, left, right
+    return point, split_dim, left, right
 
 
 def _variances(
@@ -178,8 +176,11 @@ def build(d: Dataset) -> KdTree:
     return KdTree(d)
 
 
+_READ = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_int64)
+
+
 def _load_kernel(cache: Path) -> ctypes.CDLL:
-    """The k-NN kernel ``_knn.c``, compiled by ``cc`` into ``cache`` once
+    """The search kernel ``_knn.c``, compiled by ``cc`` into ``cache`` once
     per hash of its source and flags, and loaded from there after that.
 
     The compiler writes a temporary file that ``os.replace`` moves into
@@ -201,16 +202,17 @@ def _load_kernel(cache: Path) -> ctypes.CDLL:
             )
             os.replace(partial, library)
         except FileNotFoundError:
-            raise ImportError("sktdpc needs a C compiler, cc, to build its k-NN kernel") from None
+            raise ImportError("sktdpc needs a C compiler, cc, to build its search kernel") from None
         except subprocess.CalledProcessError as e:
-            raise ImportError(f"cc could not build the k-NN kernel:\n{e.stderr}") from None
+            raise ImportError(f"cc could not build the search kernel:\n{e.stderr}") from None
         finally:
             partial.unlink(missing_ok=True)
     kernel = ctypes.CDLL(str(library))
     kernel.knn_search.restype = ctypes.c_int64
     kernel.knn_search.argtypes = (
         [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2
-        + [ctypes.c_void_p] * 3 + [ctypes.c_int, ctypes.c_int64, ctypes.c_void_p]
+        + [ctypes.c_void_p] * 3 + [ctypes.c_int, ctypes.c_int64]
+        + [ctypes.c_void_p] * 3 + [_READ]
     )
     return kernel
 
@@ -227,38 +229,62 @@ def _key_capacity(n_keys: int, done: int, m: int, n: int) -> int:
     return n_keys + n + int(rate * (m - done))
 
 
-def _knn(tree: KdTree, targets: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact k nearest neighbors of every point in ``targets``.
+def _knn(
+    tree: KdTree, targets: np.ndarray, k: int,
+    rank: np.ndarray | None = None, cache: SparseDistanceMatrix | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact k nearest neighbors of every point in ``targets``; given
+    ``rank`` and ``cache``, only of smaller rank than the target's.
 
     Returns ``(indices, distances, keys)``: two ``(len(targets), k)`` arrays,
-    each row ascending by (distance, index), and the key ``lo * n + hi`` of
-    every pair evaluated, repeats included, of dtype
-    :func:`~sktdpc.sparse.key_dtype`.  The kernel searches the queries one
-    after another and stops before a query when fewer than n key slots are
-    free; the buffer then grows (:func:`_key_capacity`) and the kernel
-    resumes at that query.  ``ndarray.resize`` grows the buffer by
-    ``realloc``, so no second buffer is held beside it, and the last resize
-    trims it to the keys written."""
+    each row ascending by (distance, index), unfilled slots ``(inf, n)``,
+    and the key ``lo * n + hi`` of every pair evaluated, repeats included,
+    of dtype :func:`~sktdpc.sparse.key_dtype`.  The kernel searches the
+    queries one after another and stops before a query when fewer than n
+    key slots are free; the buffer then grows (:func:`_key_capacity`) and
+    the kernel resumes at that query.  ``ndarray.resize`` grows the buffer
+    by ``realloc``, so no second buffer is held beside it, and the last
+    resize trims it to the keys written.  The rank filter writes no key: it
+    reads each distance as ``cache.distance(target, j)``, and an exception
+    raised there stops the search and is raised here."""
+    # C reads each array by its address: every one is bound to a name, so it outlives the call
     pts = np.ascontiguousarray(tree.dataset.points)
     n, dim = pts.shape
     targets = np.ascontiguousarray(targets, dtype=np.int64)
     m = len(targets)
+    if m and not 0 <= targets.min() <= targets.max() < n:
+        raise IndexError(f"targets must lie in [0, {n})")
     coords = pts[tree.point]  # row v: node v's point
     indices = np.empty((m, k), dtype=np.int64)
     distances = np.empty((m, k))
-    keys = np.empty(_key_capacity(0, 0, m, n), dtype=key_dtype(n))
+    keys = np.empty(0 if rank is not None else _key_capacity(0, 0, m, n), dtype=key_dtype(n))
     n_keys = ctypes.c_int64(0)
+    rank_filter, failure = (None, None, _READ()), []  # _READ(): a NULL callback
+    if rank is not None:
+        rank = np.ascontiguousarray(rank, dtype=np.int64)
+        min_rank = np.ascontiguousarray(subtree_min_rank(tree, rank), dtype=np.int64)
+
+        @_READ
+        def read(t, j):
+            try:
+                return cache.distance(t, j)  # looked up per call, so a swapped method counts
+            except BaseException as e:  # ctypes would print it and hand C an undefined value
+                failure.append(e)
+                return math.nan
+        rank_filter = (rank.ctypes.data, min_rank.ctypes.data, read)
     done = 0
     while True:
         done = _KERNEL.knn_search(
             n, dim, k, coords.ctypes.data, tree.point.ctypes.data, tree.split_dim.ctypes.data,
             tree.left.ctypes.data, tree.right.ctypes.data, pts.ctypes.data, targets.ctypes.data,
             m, done, indices.ctypes.data, distances.ctypes.data, keys.ctypes.data,
-            keys.dtype == np.int64, len(keys), ctypes.byref(n_keys),
+            keys.dtype == np.int64, len(keys), ctypes.byref(n_keys), *rank_filter,
         )
-        if done == m:
+        if done == m or done < 0:
             break
         keys.resize(_key_capacity(n_keys.value, done, m, n), refcheck=False)
+    if failure:
+        raise failure[0]
     keys.resize(n_keys.value, refcheck=False)
     return indices, distances, keys
 
@@ -324,49 +350,9 @@ def nearest_denser_all(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest point of smaller ``rank`` than each of ``targets``, as
     two arrays: the distances and the indices; ``(inf, -1)`` for a target of
-    the smallest rank.  Equal distances go to the lower index.
-
-    Each target in turn walks the tree depth first, near child first,
-    skipping a subtree that holds no point of smaller rank
-    (:func:`subtree_min_rank`) or whose plane bound is strictly farther than
-    the best distance found, so an equidistant point of lower index across
-    the plane is still reached.  At an internal node the bound is
-    ``reach = sqrt(diff * diff)``: the node's point is evaluated, and the far
-    child pushed, only when reach is at most the best distance, as the
-    point lies on the plane.  A leaf's point of smaller rank is always
-    evaluated.  Every evaluation goes through ``cache.distance(target, j)``.
-    """
-    min_rank = subtree_min_rank(tree, rank).tolist()
-    point, split_dim, split_value, left, right = (
-        a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
-    )
-    rank = rank.tolist()
-    distance = cache.distance
-    out_d, out_j = np.full(len(targets), np.inf), np.full(len(targets), -1, dtype=np.int64)
-    coords_of = tree.dataset.points[targets].tolist()
-    for t, (target, coords) in enumerate(zip(targets.tolist(), coords_of)):
-        r = rank[target]
-        best_d, best_j = math.inf, -1
-        stack = [(0, 0.0)]  # (node, lower bound on distances in its subtree)
-        while stack:
-            v, bound = stack.pop()
-            if min_rank[v] >= r or bound > best_d:
-                continue
-            idx, dim = point[v], split_dim[v]
-            reach = 0.0  # a leaf has no plane
-            if dim >= 0:
-                diff = coords[dim] - split_value[v]
-                reach = math.sqrt(diff * diff)
-            if rank[idx] < r and reach <= best_d:
-                d = distance(target, idx)
-                if best_j < 0 or d < best_d or (d == best_d and idx < best_j):
-                    best_d, best_j = d, idx
-            if dim < 0:
-                continue
-            near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
-            if far >= 0 and reach <= best_d:
-                stack.append((far, reach))
-            if near >= 0:
-                stack.append((near, bound))
-        out_d[t], out_j[t] = best_d, best_j
-    return out_d, out_j
+    the smallest rank.  Equal distances go to the lower index.  It is
+    :func:`_knn` at k = 1 with the rank filter, which also skips every
+    subtree without a point of smaller rank (:func:`subtree_min_rank`); each
+    evaluation is a ``cache.distance(target, j)`` call, in search order."""
+    indices, distances, _ = _knn(tree, targets, 1, rank, cache)
+    return distances.ravel(), np.where(indices < tree.dataset.n, indices, -1).ravel()  # (inf, n)

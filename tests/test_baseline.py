@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
-from sktdpc import core, registry
+from sktdpc import baseline, core, registry
 from sktdpc.baseline import (
     brute_knn_all,
     cutoff_distance,
@@ -90,6 +90,19 @@ def test_dpc_rejects_bad_params():
         dpc_original(d, dc=1.0, n_centers=3)
     with pytest.raises(ValueError):
         dpc_original(d, dc=1.0, n_centers=1, kernel="sombrero")
+
+
+def test_dpc_rejects_an_unknown_kernel_before_building_the_matrix(monkeypatch):
+    """The n x n matrix takes 8n^2 bytes, so a misspelt kernel is refused
+    first."""
+
+    def no_matrix(d):
+        raise AssertionError("full_matrix built for an unknown kernel")
+
+    monkeypatch.setattr(baseline, "full_matrix", no_matrix)
+    d = Dataset(np.array([[0.0], [1.0], [3.0]]))
+    with pytest.raises(ValueError, match="unknown kernel 'gausian'"):
+        dpc_original(d, dc=1.0, n_centers=1, kernel="gausian")
 
 
 @pytest.mark.parametrize("dc", [math.nan, math.inf, -math.inf, -1.0])

@@ -42,11 +42,17 @@ def _subtree(tree, v):
     return out
 
 
+def _split_values(tree):
+    """Each node's split value, ``points[point[v], split_dim[v]]``, as the
+    tree's ``dump`` derives it (a leaf's entry is not used)."""
+    return tree.dataset.points[tree.point, tree.split_dim].tolist()
+
+
 def test_build_three_collinear_points():
     d = Dataset(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
     tree = build(d)
     assert tree.split_dim[0] == 1  # variance 0 vs 2/3
-    assert tree.split_value[0] == 1.0  # median of {0, 1, 2}
+    assert _split_values(tree)[0] == 1.0  # median of {0, 1, 2}
     assert tree.point[0] == 1
 
 
@@ -71,10 +77,10 @@ def test_split_rule_by_rank():
     for points in (random_dataset(2, n=50, dim=2).points, _lattice_points(), _ties(3)(), _witness()):
         tree = build(Dataset(points))
         for v in _subtree(tree, 0):
-            dim, value, pivot = tree.split_dim[v], tree.split_value[v], int(tree.point[v])
+            dim, pivot = tree.split_dim[v], int(tree.point[v])
             if dim < 0:
                 continue
-            assert points[pivot, dim] == value
+            value = points[pivot, dim]
             for cur in _subtree(tree, tree.left[v]):
                 p = int(tree.point[cur])
                 assert (points[p, dim], p) < (value, pivot) and points[p, dim] <= value
@@ -471,9 +477,10 @@ def reference_knn_query(tree, target, k, cache, plain=False):
     superset check: every visited node's point is evaluated, and the far
     subtree is bounded by ``|diff|``, which is no lower bound once squares
     underflow."""
-    point, split_dim, split_value, left, right = (
-        a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    point, split_dim, left, right = (
+        a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
+    split_value = _split_values(tree)
     coords = tree.dataset.points[target].tolist()
     # Max-heap of the best k candidates: heap root is the worst kept
     # (largest distance, then largest index), as (-distance, -index).
@@ -511,39 +518,52 @@ def reference_knn_query(tree, target, k, cache, plain=False):
     return [i for _, i in found], [d for d, _ in found]
 
 
-def plain_nearest_denser(tree, targets, rank, cache):
-    """The nearest-denser walk with plain hyperplane pruning, kept as a
-    superset check: every visited node's denser point is evaluated, and the
-    far subtree is bounded by ``|diff|``.  Returns the (distance, index)
-    pair of each target."""
+def reference_nearest_denser(tree, targets, rank, cache, plain=False):
+    """The scalar stack walk the kernel's rank filter replaced, kept as its
+    oracle: the (distance, index) pair of each target's nearest point of
+    smaller rank, ``(inf, -1)`` for none.  Depth first, near child first; a
+    popped subtree with no point of smaller rank, or whose bound is strictly
+    farther than the best distance, is skipped.  At an internal node the
+    point is evaluated, and the far child pushed, only when ``reach =
+    sqrt(diff * diff)`` is at most the best distance; a leaf's point of
+    smaller rank is always evaluated.  One ``cache.distance(target, j)`` per
+    evaluated point.
+
+    ``plain=True`` gives plain hyperplane pruning instead, kept as a
+    superset check: every visited node's point of smaller rank is evaluated,
+    and the far subtree is bounded by ``|diff|``."""
     min_rank = reference_subtree_min_rank(tree, rank)
-    point, split_dim, split_value, left, right = (
-        a.tolist() for a in (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    point, split_dim, left, right = (
+        a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
+    split_value = _split_values(tree)
     rank = rank.tolist()
     out = []
     for target in targets.tolist():
         coords, r = tree.dataset.points[target].tolist(), rank[target]
-        best = (math.inf, -1)
-        stack = [(0, 0.0)]
+        best_d, best_j = math.inf, -1
+        stack = [(0, 0.0)]  # (node, lower bound on distances in its subtree)
         while stack:
             v, bound = stack.pop()
-            if min_rank[v] >= r or bound > best[0]:
+            if min_rank[v] >= r or bound > best_d:
                 continue
-            if rank[point[v]] < r:
-                d = cache.distance(target, point[v])
-                if best[1] < 0 or (d, point[v]) < best:
-                    best = (d, point[v])
-            dim = split_dim[v]
+            idx, dim = point[v], split_dim[v]
+            reach = 0.0  # a leaf has no plane
+            if dim >= 0:
+                diff = coords[dim] - split_value[v]
+                reach = abs(diff) if plain else math.sqrt(diff * diff)
+            if rank[idx] < r and (plain or reach <= best_d):
+                d = cache.distance(target, idx)
+                if best_j < 0 or (d, idx) < (best_d, best_j):
+                    best_d, best_j = d, idx
             if dim < 0:
                 continue
-            diff = coords[dim] - split_value[v]
             near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
-            if far >= 0:
-                stack.append((far, abs(diff)))
+            if far >= 0 and (plain or reach <= best_d):
+                stack.append((far, reach))
             if near >= 0:
                 stack.append((near, bound))
-        out.append(best)
+        out.append((best_d, best_j))
     return out
 
 
@@ -822,11 +842,12 @@ def test_cache_distances_equal_repeated_distance(two_blobs, i):
 
 def reference_build(points, subsets=None):
     """The per-node stack build the level-by-level build replaced, kept as its
-    oracle: preorder lists (point, split_dim, split_value, left, right) and
-    depth.  Each internal node's points, in the row order its variance is
-    taken in, are appended to ``subsets`` when one is given."""
+    oracle: preorder lists (point, split_dim, left, right) and depth; a
+    node's split value is its point's coordinate in its split dimension.
+    Each internal node's points, in the row order its variance is taken in,
+    are appended to ``subsets`` when one is given."""
     n = len(points)
-    point, split_dim, split_value = [], [], []
+    point, split_dim = [], []
     left = [-1] * n
     right = [-1] * n
     depth = 0
@@ -841,7 +862,6 @@ def reference_build(points, subsets=None):
         if len(subset) == 1:
             point.append(int(subset[0]))
             split_dim.append(-1)
-            split_value.append(0.0)
             continue
         if subsets is not None:
             subsets.append(subset)
@@ -852,20 +872,19 @@ def reference_build(points, subsets=None):
         pivot = int(ranked[mid])
         point.append(pivot)
         split_dim.append(dim)
-        split_value.append(float(points[pivot, dim]))
         low, high = ranked[:mid], ranked[mid + 1 :]  # ranked before and after the pivot
         # pushed right first, so the left subtree is numbered first
         if len(high):
             stack.append((high, node, right, level + 1))
         if len(low):
             stack.append((low, node, left, level + 1))
-    return (point, split_dim, split_value, left, right), depth
+    return (point, split_dim, left, right), depth
 
 
 def _assert_build_equals_reference(points):
     tree = build(Dataset(points))
     want, depth = reference_build(points)
-    got = (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    got = (tree.point, tree.split_dim, tree.left, tree.right)
     for g, w in zip(got, want):
         w = np.array(w)
         assert g.dtype == w.dtype
@@ -980,7 +999,7 @@ def test_build_sorts_without_lexsort(make, monkeypatch):
         m.setattr(np, "lexsort", no_lexsort)
         tree = build(d)
     want, depth = reference_build(points)
-    got = (tree.point, tree.split_dim, tree.split_value, tree.left, tree.right)
+    got = (tree.point, tree.split_dim, tree.left, tree.right)
     for g, w in zip(got, want):
         assert g.tobytes() == np.array(w).tobytes()
     assert tree.depth() == depth
@@ -1075,8 +1094,8 @@ def _assert_pairs_within_plain_pruning(d, k):
     rank[order] = np.arange(d.n)
     walk, plain_walk = SparseDistanceMatrix(d.points), SparseDistanceMatrix(d.points)
     got_d, got_j = nearest_denser_all(tree, queries, rank, walk)
-    assert list(zip(got_d.tolist(), got_j.tolist())) == plain_nearest_denser(
-        tree, queries, rank, plain_walk
+    assert list(zip(got_d.tolist(), got_j.tolist())) == reference_nearest_denser(
+        tree, queries, rank, plain_walk, plain=True
     )
     assert walk.pairs() <= plain_walk.pairs()
 
@@ -1116,3 +1135,92 @@ def _benchmark_cells(workload):
     finally:
         sys.path.remove(perfbench)
     return workloads.setup(workload, 1)
+
+
+class _CallLog:
+    """A ledger that also logs every ``distance(i, j)`` call and its result."""
+
+    def __init__(self, points):
+        self.ledger = SparseDistanceMatrix(points)
+        self.calls = []
+
+    def distance(self, i, j):
+        d = self.ledger.distance(i, j)
+        self.calls.append((i, j, d))
+        return d
+
+
+def _assert_nearest_denser_equals_reference(d, k):
+    """From a sample of at most about 200 points, taken in density order,
+    under the density ranks of the k-NN result and under a random rank,
+    ``nearest_denser_all`` makes the reference walk's exact sequence of
+    ``cache.distance(target, j)`` calls, gets the same results, and returns
+    the walk's points and distance bits."""
+    tree = build(d)
+    _, order = core.local_density(knn_all(tree, k)[0])
+    density_rank = np.empty(d.n, dtype=np.int64)
+    density_rank[order] = np.arange(d.n)
+    targets = order[:: -(-d.n // 200)]  # the densest first, with no denser point
+    for rank in (density_rank, np.random.default_rng(d.n).permutation(d.n)):
+        got, want = _CallLog(d.points), _CallLog(d.points)
+        got_d, got_j = nearest_denser_all(tree, targets, rank, got)
+        expected = reference_nearest_denser(tree, targets, rank, want)
+        assert got.calls == want.calls
+        assert list(zip(got_d.tolist(), got_j.tolist())) == expected
+        assert got_d.tobytes() == np.array([dist for dist, _ in expected]).tobytes()
+        assert got.ledger.pairs() == want.ledger.pairs()
+
+
+@pytest.mark.parametrize("make", _BUILD_CASES, ids=lambda make: make.__name__)
+def test_nearest_denser_all_makes_the_reference_calls(make):
+    points = make()
+    _assert_nearest_denser_equals_reference(Dataset(points), min(7, len(points) - 1))
+
+
+@pytest.mark.parametrize("dim, scale", _UNDERFLOW, ids=_UNDERFLOW_IDS)
+def test_nearest_denser_all_makes_the_reference_calls_where_squares_underflow(dim, scale):
+    _assert_nearest_denser_equals_reference(_underflowing(dim, scale), 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adversarial())
+def test_nearest_denser_all_makes_the_reference_calls_on_adversarial_inputs(case):
+    _assert_nearest_denser_equals_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "workload", ["blobs15-5000", "uniform-7000x2", "uniform-2000x8", "sweep-bundled"]
+)
+def test_nearest_denser_all_makes_the_reference_calls_on_benchmark_inputs(workload):
+    for c in _benchmark_cells(workload):
+        _assert_nearest_denser_equals_reference(c.data, c.k)
+
+
+def test_a_failing_ledger_read_stops_the_nearest_denser_search():
+    """An exception raised by the third ledger read leaves
+    ``nearest_denser_all`` after exactly three reads; ctypes would otherwise
+    print it and hand the kernel an undefined distance."""
+    d = _lattice()
+    ledger = SparseDistanceMatrix(d.points)
+    calls = []
+
+    class ThirdReadFails:
+        def distance(self, i, j):
+            calls.append((i, j))
+            if len(calls) == 3:
+                raise LookupError("third read")
+            return ledger.distance(i, j)
+
+    with pytest.raises(LookupError, match="third read"):
+        nearest_denser_all(build(d), np.arange(d.n), np.arange(d.n), ThirdReadFails())
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("target", [-1, 64])
+def test_nearest_denser_all_rejects_a_target_outside_the_points(target):
+    """The kernel reads a target's coordinates and rank by its index, so an
+    index outside [0, n) is refused before the call."""
+    d = _lattice()
+    ledger = SparseDistanceMatrix(d.points)
+    with pytest.raises(IndexError, match=r"\[0, 64\)"):
+        nearest_denser_all(build(d), np.array([3, target]), np.arange(d.n), ledger)
