@@ -1,6 +1,6 @@
-/* The k-d tree search of kdtree.py: exact k nearest neighbours, and with a
-   rank filter the nearest point of smaller rank (the dependent-point search
-   of Ex-DPC, Amagata & Hara, SIGMOD 2021).
+/* The k-d tree of kdtree.py: its build, and its two searches, exact k
+   nearest neighbours and, with a rank filter, the nearest point of smaller
+   rank (the dependent-point search of Ex-DPC, Amagata & Hara, SIGMOD 2021).
 
    Each query runs the depth-first search of Friedman, Bentley & Finkel
    (ACM TOMS 1977), near child first, one query after another.  At an
@@ -13,14 +13,79 @@
    point is always evaluated.  Squares are summed from 0.0 dimension by
    dimension, as baseline.full_matrix sums them, so every distance has its
    bits.  Build without -ffast-math, -Ofast or FMA contraction: any of them
-   changes those bits. */
+   changes those bits, and the build's variances too. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
-/* A pop pushes at most two children, so a query's stack never holds more
-   than the tree's depth, floor(log2 n) + 1 <= 63, entries. */
+/* A pop pushes at most two children and the near (in the build, the left)
+   one is popped next, so a stack never holds more than the tree's depth
+   plus one, floor(log2 n) + 2 <= 64, entries. */
 #define STACK 64
+
+/* A point of the node being built: its coordinate in the node's split
+   dimension, and its index. */
+struct item { double x; int64_t i; };
+
+/* (coordinate, index) order; the points are finite, so no NaN. */
+static int by_coordinate(const void *a, const void *b)
+{
+    const struct item *p = a, *q = b;
+    int c = (p->x > q->x) - (p->x < q->x);
+    return c ? c : (p->i > q->i) - (p->i < q->i);
+}
+
+/* Fills the preorder arrays point, split_dim, left and right (-1: a leaf's
+   split_dim, an absent child) of the tree over the n points, one node at a
+   time; items has n slots.  Node v's m points arrive in (coordinate, index)
+   order of its parent's split dimension, index order at the root, and each
+   dimension's mean and variance are summed down them in that order, as
+   numpy's var(axis=0) sums them.  In the first dimension of maximum
+   variance, the point of rank ceil(m/2) is v's, those before it form node
+   v + 1 and those after it node v + ceil(m/2). */
+void build_tree(int64_t n, int64_t dim, const double *points, int64_t *point,
+                int64_t *split_dim, int64_t *left, int64_t *right,
+                struct item *items)
+{
+    struct span { int64_t node, start, size; } stack[STACK] = {{0, 0, n}}; /* the root */
+    int h = 1;
+    for (int64_t i = 0; i < n; i++)
+        items[i].i = i;
+    while (h) {
+        struct span top = stack[--h];
+        int64_t v = top.node, m = top.size, s = 0;
+        struct item *it = items + top.start;
+        double widest = -1.0;
+        for (int64_t d = 0; d < dim; d++) {
+            double mean = 0.0, var = 0.0;
+            for (int64_t r = 0; r < m; r++)
+                mean += points[it[r].i * dim + d];
+            mean /= (double)m;
+            for (int64_t r = 0; r < m; r++) {
+                double e = points[it[r].i * dim + d] - mean;
+                var += e * e;
+            }
+            var /= (double)m;
+            if (var > widest) {
+                widest = var;
+                s = d;
+            }
+        }
+        for (int64_t r = 0; r < m; r++)
+            it[r].x = points[it[r].i * dim + s];
+        qsort(it, (size_t)m, sizeof *it, by_coordinate);
+        int64_t low = (m + 1) / 2 - 1, high = m / 2; /* the pivot has rank ceil(m/2) */
+        point[v] = it[low].i;
+        split_dim[v] = m > 1 ? s : -1;
+        left[v] = low ? v + 1 : -1;
+        right[v] = high ? v + 1 + low : -1;
+        if (high)
+            stack[h++] = (struct span){v + 1 + low, top.start + low + 1, high};
+        if (low)
+            stack[h++] = (struct span){v + 1, top.start, low};
+    }
+}
 
 /* Searches targets[done], targets[done + 1], ... and returns the position
    of the first one not searched: m when all are, earlier when fewer than n

@@ -3,10 +3,7 @@
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack with hyperplane pruning; the tree is
 floor(log2 n) + 1 deep on any input, ties included.  It is held as flat
-arrays in preorder and built level by level, each level with one integer
-sort of per-build coordinate ranks and one variance block per subtree size
-(Zhou, Hou, Wang & Guo, SIGGRAPH Asia 2008), into the same tree, bit for
-bit, as one split per node would give.  Nothing here recurses.
+arrays in preorder and built one node at a time.  Nothing here recurses.
 
 Both searches prune by one rule.  A node's point lies on its own split
 plane and every point of its far subtree lies beyond it, so the target's
@@ -18,8 +15,8 @@ and square roots are monotone, so reach is at most every computed distance
 it skips, underflow included (``|diff|`` is not once squares underflow to
 0).  A leaf has no plane, and its point is always evaluated.
 
-Both searches are one small C function, ``_knn.c``, compiled by ``cc``
-once per source hash at import and called through ``ctypes``.  It runs the
+The build and both searches are C, ``_knn.c``, compiled by ``cc`` once per
+source hash at import and called through ``ctypes``.  The search runs the
 depth-first search of every query in turn, near child first (Friedman,
 Bentley & Finkel, ACM TOMS 1977), and keeps the k best in (distance, index)
 order.  The k-NN search sums squares dimension by dimension as
@@ -95,84 +92,19 @@ class KdTree:
 
 
 def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Preorder arrays (point, split_dim, left, right).
-
-    One pass per level splits every subtree of that depth.  The live points
-    form one permutation cut into contiguous segments, one per subtree, each
-    in ascending (coordinate, index) order of its parent's split dimension,
-    the row order its variances are summed in.  A segment of m points splits
-    on its maximum-variance dimension (ties: the lowest) at its point of
-    rank ceil(m/2); the points ranked before it go low and those after it
-    high, so each child is a contiguous run once the pivots are taken out.
-    The left child of ``v`` is ``v + 1``, the right ``v + ceil(m/2)``.
-
-    ``rank[d, p]`` is the position of point p in a stable argsort of
-    coordinate d, its (coordinate, index) rank, taken once per build.  A
-    level then orders its points with one integer sort of the distinct
-    keys ``segment * n + rank[split dimension, point]``, of dtype
-    :func:`~sktdpc.sparse.key_dtype`, which gives the (segment, coordinate,
-    index) order a three-key ``lexsort`` would.
-    """
-    n, dim = points.shape
-    point = np.empty(n, dtype=np.int64)
-    split_dim = np.full(n, -1, dtype=np.int64)
-    left = np.full(n, -1, dtype=np.int64)
-    right = np.full(n, -1, dtype=np.int64)
-    rank = np.empty((dim, n), dtype=key_dtype(n))
-    rank[np.arange(dim)[:, None], np.argsort(points, axis=0, kind="stable").T] = np.arange(n)
-    perm = np.arange(n)
-    # start, size and preorder node number of each segment at this level
-    start = np.zeros(1, dtype=np.int64)
-    size = np.array([n])
-    node = np.zeros(1, dtype=np.int64)
-    while len(size):
-        inner = size > 1
-        dims = np.zeros(len(size), dtype=np.int64)
-        if dim > 1 and inner.any():  # in one dimension there is nothing to choose
-            dims[inner] = np.argmax(_variances(points, perm, start[inner], size[inner]), axis=1)
-        seg = np.repeat(np.arange(len(size), dtype=rank.dtype), size)
-        perm = perm[np.argsort(seg * n + rank[dims[seg], perm])]
-        low = (size + 1) // 2 - 1  # the pivot has rank ceil(size/2), 1-based
-        high = size // 2
-        mid = start + low
-        point[node] = perm[mid]
-        split_dim[node[inner]] = dims[inner]
-        left[node[low > 0]] = node[low > 0] + 1
-        right[node[high > 0]] = (node + 1 + low)[high > 0]
-        perm = np.delete(perm, mid)
-        base = start - np.arange(len(size))  # pivots of earlier segments are gone
-        start = np.column_stack((base, base + low)).ravel()
-        node = np.column_stack((node + 1, node + 1 + low)).ravel()
-        size = np.column_stack((low, high)).ravel()
-        live = size > 0
-        start, node, size = start[live], node[live], size[live]
-    return point, split_dim, left, right
-
-
-def _variances(
-    points: np.ndarray, perm: np.ndarray, start: np.ndarray, size: np.ndarray
-) -> np.ndarray:
-    """Per-dimension variance of each segment ``perm[start:start + size]``,
-    one row per segment, bit-equal to ``points[segment].var(axis=0)``.
-
-    The segments of one length sit side by side in a ``(length, segments,
-    dim)`` block that takes ``var``'s own steps, so each segment's rows are
-    summed down axis 0 one after another, as ``var`` sums them (sums by
-    ``np.add.reduceat`` come in another order and other bits).  The build
-    hands it at most two lengths per level, on any data.
-    """
-    out = np.empty((len(size), points.shape[1]))
-    for length in np.unique(size).tolist():
-        sel = np.flatnonzero(size == length)
-        block = points[perm[start[sel] + np.arange(length)[:, None]]]
-        block -= block.sum(axis=0) / length
-        block *= block
-        out[sel] = block.sum(axis=0) / length
-    return out
+    """Preorder arrays (point, split_dim, left, right), filled by ``build_tree``."""
+    # C reads each array by its address: every one is bound to a name, so it outlives the call
+    pts = np.ascontiguousarray(points)
+    n, dim = pts.shape
+    arrays = tuple(np.empty(n, dtype=np.int64) for _ in range(4))
+    items = np.empty(n, dtype=[("x", np.float64), ("i", np.int64)])  # the kernel's sort space
+    _KERNEL.build_tree(n, dim, pts.ctypes.data, *(a.ctypes.data for a in arrays), items.ctypes.data)
+    return arrays
 
 
 def build(d: Dataset) -> KdTree:
-    """Build the spatial index: max-variance split dimension, median split point."""
+    """Build the spatial index in C, one node at a time: max-variance split
+    dimension, median split point."""
     return KdTree(d)
 
 
@@ -180,14 +112,14 @@ _READ = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_int64)
 
 
 def _load_kernel(cache: Path) -> ctypes.CDLL:
-    """The search kernel ``_knn.c``, compiled by ``cc`` into ``cache`` once
+    """The k-d tree kernel ``_knn.c``, compiled by ``cc`` into ``cache`` once
     per hash of its source and flags, and loaded from there after that.
 
     The compiler writes a temporary file that ``os.replace`` moves into
     place, so processes building at once never load a partial library.  The
     flags keep IEEE arithmetic: no ``-ffast-math``, ``-Ofast`` or
     ``-march=native``, and no contraction into fused multiply-adds, which
-    would change distance bits.  ImportError without a working ``cc``."""
+    would change the kernel's bits.  ImportError without a working ``cc``."""
     source = Path(__file__).with_name("_knn.c")
     flags = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
     digest = hashlib.sha256(source.read_bytes() + " ".join(flags).encode()).hexdigest()
@@ -202,12 +134,14 @@ def _load_kernel(cache: Path) -> ctypes.CDLL:
             )
             os.replace(partial, library)
         except FileNotFoundError:
-            raise ImportError("sktdpc needs a C compiler, cc, to build its search kernel") from None
+            raise ImportError("sktdpc needs a C compiler, cc, to build its k-d tree kernel") from None
         except subprocess.CalledProcessError as e:
-            raise ImportError(f"cc could not build the search kernel:\n{e.stderr}") from None
+            raise ImportError(f"cc could not build the k-d tree kernel:\n{e.stderr}") from None
         finally:
             partial.unlink(missing_ok=True)
     kernel = ctypes.CDLL(str(library))
+    kernel.build_tree.restype = None
+    kernel.build_tree.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
     kernel.knn_search.restype = ctypes.c_int64
     kernel.knn_search.argtypes = (
         [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2

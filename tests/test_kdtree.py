@@ -840,12 +840,11 @@ def test_cache_distances_equal_repeated_distance(two_blobs, i):
 
 
 
-def reference_build(points, subsets=None):
-    """The per-node stack build the level-by-level build replaced, kept as its
-    oracle: preorder lists (point, split_dim, left, right) and depth; a
-    node's split value is its point's coordinate in its split dimension.
-    Each internal node's points, in the row order its variance is taken in,
-    are appended to ``subsets`` when one is given."""
+def reference_build(points):
+    """The per-node stack build in numpy, the oracle of the kernel's
+    ``build_tree``: preorder lists (point, split_dim, left, right) and
+    depth; a node's split value is its point's coordinate in its split
+    dimension."""
     n = len(points)
     point, split_dim = [], []
     left = [-1] * n
@@ -863,9 +862,8 @@ def reference_build(points, subsets=None):
             point.append(int(subset[0]))
             split_dim.append(-1)
             continue
-        if subsets is not None:
-            subsets.append(subset)
-        dim = int(np.argmax(points[subset].var(axis=0)))  # ties: lowest dimension
+        with np.errstate(over="ignore"):  # the scaled_2^600 case overflows by design
+            dim = int(np.argmax(points[subset].var(axis=0)))  # ties: lowest dimension
         order = np.lexsort((subset, points[subset, dim]))
         ranked = subset[order]
         mid = (len(ranked) + 1) // 2 - 1  # rank ceil(count/2), 1-based
@@ -906,8 +904,8 @@ def _ties(dim):
 
 
 def _witness():
-    """Tie-heavy 300x3 integer data on which segment sums taken by
-    ``np.add.reduceat`` pick another split dimension somewhere."""
+    """Tie-heavy 300x3 integer data on which variances summed in another
+    row order than ``var``'s pick another split dimension somewhere."""
     return np.random.default_rng(0).integers(0, 6, size=(300, 3)).astype(float)
 
 
@@ -926,11 +924,20 @@ def _fixed(name, rows):
     return _named(name, lambda: np.array(rows, dtype=float))
 
 
+def _mirrored():
+    """101 random values in one column and in reverse in the other: the two
+    variances differ only by rounding, so a mean summed in another row order
+    than ``var``'s can pick the other split dimension."""
+    x = np.random.default_rng(1).random(101)
+    return np.column_stack((x, x[::-1]))
+
+
 _lattice_points = _named("lattice", lambda: _lattice().points)
 _BUILD_CASES = [
     _lattice_points,
     *(_ties(dim) for dim in range(1, 9)),
     _witness,
+    _named("mirrored", _mirrored),
     _named("identical_1500x2", lambda: np.full((1500, 2), 0.25)),
     _named("identical_40x3", lambda: np.full((40, 3), -1.5)),
     _fixed("two_equal", [[0.0, 0.0], [0.0, 0.0]]),
@@ -953,61 +960,10 @@ def test_build_equals_reference_build_on_adversarial_inputs(case):
     _assert_build_equals_reference(case[0].points)
 
 
-@pytest.mark.parametrize(
-    "make", [_lattice_points, _ties(2), _ties(8), _witness, _scaled(600), _scaled(-600)],
-    ids=lambda make: make.__name__,
-)
-def test_blocked_variances_equal_numpy_var_at_every_internal_node(make):
-    points = make()
-    subsets = []
-    reference_build(points, subsets)
-    size = np.array([len(s) for s in subsets])
-    got = kdtree._variances(points, np.concatenate(subsets), np.cumsum(size) - size, size)
-    want = np.array([points[s].var(axis=0) for s in subsets])
-    assert got.tobytes() == want.tobytes()
-
-
-def test_reduceat_variances_change_the_witness_tree(monkeypatch):
-    """The witness tells row-order sums from ``np.add.reduceat`` ones: with
-    the latter the build no longer equals the reference."""
-
-    def reduceat_variances(points, perm, start, size):
-        rows = points[np.concatenate([perm[a : a + m] for a, m in zip(start, size)])]
-        offsets = np.cumsum(size) - size
-        count = size[:, None]
-        mean = np.add.reduceat(rows, offsets, axis=0) / count
-        rows -= np.repeat(mean, size, axis=0)
-        return np.add.reduceat(rows * rows, offsets, axis=0) / count
-
-    points = _witness()
-    monkeypatch.setattr(kdtree, "_variances", reduceat_variances)
-    with pytest.raises(AssertionError):
-        _assert_build_equals_reference(points)
-
-
-@pytest.mark.parametrize("make", [_lattice_points, _ties(3), _witness], ids=lambda m: m.__name__)
-def test_build_sorts_without_lexsort(make, monkeypatch):
-    """A level orders its points by one integer sort of rank keys: the build
-    calls no ``np.lexsort`` and still equals the reference build."""
-    points = make()
-    d = Dataset(points)
-
-    def no_lexsort(*args, **kwargs):
-        raise AssertionError("np.lexsort called")
-
-    with monkeypatch.context() as m:
-        m.setattr(np, "lexsort", no_lexsort)
-        tree = build(d)
-    want, depth = reference_build(points)
-    got = (tree.point, tree.split_dim, tree.left, tree.right)
-    for g, w in zip(got, want):
-        assert g.tobytes() == np.array(w).tobytes()
-    assert tree.depth() == depth
-
-
 def test_build_has_no_recursion():
-    """Nothing in ``kdtree`` calls itself: the build, dump and searches all
-    keep explicit state, so depth is bounded by memory, not the stack."""
+    """Nothing in ``kdtree`` calls itself: ``dump`` keeps explicit state, as
+    the kernel's build and searches do, so depth is bounded by memory, not
+    the stack."""
     source = ast.parse(inspect.getsource(kdtree))
     for fn in ast.walk(source):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -1046,31 +1002,6 @@ def test_tree_shape_on_ties_equals_shape_on_uniform_points(points):
     uniform = build(Dataset(np.random.default_rng(9).uniform(size=points.shape)))
     assert tree.left.tobytes() == uniform.left.tobytes()
     assert tree.right.tobytes() == uniform.right.tobytes()
-
-
-@pytest.mark.parametrize(
-    "points",
-    [
-        np.random.default_rng(10).integers(0, 10, size=(2000, 2)).astype(float),
-        _ties(3)(),
-        _witness(),
-        np.vstack([np.zeros((300, 2)), np.random.default_rng(11).uniform(size=(300, 2))]),
-    ],
-    ids=["ints10_2000x2", "ties_3d", "witness", "half_identical_600x2"],
-)
-def test_variances_see_at_most_two_lengths_per_level(points, monkeypatch):
-    """Segment sizes at one level differ by at most one, on tie-heavy data
-    too, so each level sums at most two variance blocks."""
-    lengths = []
-    real = kdtree._variances
-
-    def spy(points, perm, start, size):
-        lengths.append(len(np.unique(size)))
-        return real(points, perm, start, size)
-
-    monkeypatch.setattr(kdtree, "_variances", spy)
-    build(Dataset(points))
-    assert lengths and max(lengths) <= 2
 
 
 def _assert_pairs_within_plain_pruning(d, k):
@@ -1214,6 +1145,20 @@ def test_a_failing_ledger_read_stops_the_nearest_denser_search():
     with pytest.raises(LookupError, match="third read"):
         nearest_denser_all(build(d), np.arange(d.n), np.arange(d.n), ThirdReadFails())
     assert len(calls) == 3
+
+
+def test_nearest_denser_all_skips_a_subtree_by_its_min_rank(monkeypatch):
+    """A popped subtree whose smallest rank is not below the target's is
+    skipped before its point is read: told that no subtree holds a smaller
+    rank, the search reads no distance and finds no point."""
+    d = Dataset(np.random.default_rng(23).uniform(size=(400, 2)))
+    tree = build(d)
+    monkeypatch.setattr(kdtree, "subtree_min_rank", lambda tree, rank: np.full(d.n, d.n))
+    log = _CallLog(d.points)
+    got_d, got_j = nearest_denser_all(tree, np.arange(d.n), np.arange(d.n)[::-1].copy(), log)
+    assert log.calls == []
+    assert got_d.tolist() == [math.inf] * d.n
+    assert got_j.tolist() == [-1] * d.n
 
 
 @pytest.mark.parametrize("target", [-1, 64])
