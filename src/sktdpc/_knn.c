@@ -6,23 +6,33 @@
    (ACM TOMS 1977), near child first, one query after another.  At an
    internal node, reach = sqrt(plane * plane) of the difference between the
    split value and the target's coordinate bounds both the node's point
-   (which lies on the plane) and the far subtree: the point is evaluated,
-   and the far child pushed with bound reach, only when reach is at most the
-   k-th best distance (inf until k are kept).  The far child is tested again
-   when it is popped, after the near subtree.  A leaf has no plane, and its
-   point is always evaluated.  Squares are summed from 0.0 dimension by
-   dimension, as baseline.full_matrix sums them, so every distance has its
-   bits.  Build without -ffast-math, -Ofast or FMA contraction: any of them
-   changes those bits, and the build's variances too. */
+   (which lies on the plane) and the far subtree: the far child is pushed
+   with bound reach only when reach is at most the k-th best distance, and
+   tested again when it is popped, after the near subtree.  Once k are
+   kept, the node's point is evaluated on the spot under the same test.
+   While fewer are kept (the k-th best is inf), it is deferred instead: it
+   is pushed as its own entry with bound reach, between the far child and
+   the near child, so it is popped after the near subtree and skipped when
+   reach exceeds the k-th best by then.  The points near the root lie
+   farthest from most targets, and a query no longer evaluates them before
+   it keeps any neighbour, so it evaluates O(1) points in fixed dimension,
+   as the bottom-up search of Bentley ("K-d trees for semidynamic point
+   sets", SoCG 1990) does.  A leaf has no plane, and its point is always
+   evaluated.  Squares are summed from 0.0 dimension by dimension, as
+   baseline.full_matrix sums them, so every distance has its bits.  Build
+   without -ffast-math, -Ofast or FMA contraction: any of them changes
+   those bits, and the build's variances too. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-/* A pop pushes at most two children and the near (in the build, the left)
-   one is popped next, so a stack never holds more than the tree's depth
-   plus one, floor(log2 n) + 2 <= 64, entries. */
-#define STACK 64
+/* A search pop pushes at most three entries (far child, deferred point,
+   near child) and the near child is popped next, so each node on the path
+   to the one popped leaves at most two: a search stack never holds more
+   than 2 * depth + 1 entries, with depth = floor(log2 n) + 1 <= 63.  The
+   build pushes at most two spans a pop and holds at most depth + 1. */
+#define STACK 128
 
 /* A point of the node being built: its coordinate in the node's split
    dimension, and its index. */
@@ -88,19 +98,21 @@ void build_tree(int64_t n, int64_t dim, const double *points, int64_t *point,
 }
 
 /* Searches targets[done], targets[done + 1], ... and returns the position
-   of the first one not searched: m when all are, earlier when fewer than n
-   key slots are free before a query (one query evaluates at most n - 1
-   pairs).  Node v's point is point[v] with coordinates
-   coords[v * dim : (v + 1) * dim]; split_dim[v] is -1 at a leaf, and
-   left[v], right[v] are -1 for no child.  Query q's neighbours go to row q
-   of the (m, k) arrays indices and distances, ascending by (distance,
-   index), unfilled columns (inf, n).  The key lo * n + hi of every pair
-   evaluated is appended to keys, int64 when wide, else int32, at slot
-   *n_keys, which ends past the last one written.  The rank filter (rank,
-   min_rank, read) is NULL for k-NN.  With it, node v is skipped when
-   min_rank[v], the smallest rank in its subtree, is not below rank[t];
-   only points of smaller rank are evaluated, each by read(t, j), no key is
-   written and capacity is not checked; a NaN read returns -1 at once. */
+   of the first one not searched: m when all are, earlier when fewer than
+   n - 1 key slots are free before a query (a query evaluates each other
+   point at most once, on the spot or deferred).  Node v's point is
+   point[v] with coordinates coords[v * dim : (v + 1) * dim]; split_dim[v]
+   is -1 at a leaf, and left[v], right[v] are -1 for no child.  A stack
+   entry is a node v >= 0, or ~v for node v's deferred point.  Query q's
+   neighbours go to row q of the (m, k) arrays indices and distances,
+   ascending by (distance, index), unfilled columns (inf, n).  The key
+   lo * n + hi of every pair evaluated is appended to keys, int64 when
+   wide, else int32, at slot *n_keys, which ends past the last one
+   written.  The rank filter (rank, min_rank, read) is NULL for k-NN.  With
+   it, node v is skipped when min_rank[v], the smallest rank in its
+   subtree, is not below rank[t]; only points of smaller rank are evaluated
+   or deferred, each evaluated by read(t, j), no key is written and
+   capacity is not checked; a NaN read returns -1 at once. */
 int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                    const int64_t *point, const int64_t *split_dim,
                    const int64_t *left, const int64_t *right,
@@ -113,7 +125,7 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
     int64_t stack[STACK];
     double bound[STACK];
     int64_t count = *n_keys;
-    for (; done < m && (rank || capacity - count >= n); done++) {
+    for (; done < m && (rank || capacity - count >= n - 1); done++) {
         int64_t t = targets[done];
         const double *x = points + t * dim;
         int64_t *best_i = indices + done * k;
@@ -129,10 +141,15 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
             h--;
             int64_t v = stack[h];
             double worst = best_d[k - 1];
-            if (!(bound[h] <= worst) || (rank && min_rank[v] >= rank[t]))
+            if (!(bound[h] <= worst))
+                continue;
+            int deferred = v < 0; /* node ~v's point, tested like a leaf's */
+            if (deferred)
+                v = ~v;
+            else if (rank && min_rank[v] >= rank[t])
                 continue;
             const double *p = coords + v * dim;
-            int64_t s = split_dim[v];
+            int64_t s = deferred ? -1 : split_dim[v];
             double plane = 0.0, reach = 0.0;
             if (s >= 0) {
                 plane = p[s] - x[s];
@@ -140,7 +157,9 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
             }
             int inside = reach <= worst; /* a leaf has no plane: reach 0 */
             int64_t j = point[v];
-            if (j != t && inside && (!rank || rank[j] < rank[t])) {
+            int wanted = j != t && (!rank || rank[j] < rank[t]);
+            int defer = wanted && s >= 0 && best_i[k - 1] == n; /* fewer than k kept */
+            if (wanted && inside && !defer) {
                 double dist = 0.0;
                 if (rank) {
                     if (isnan(dist = read(t, j)))
@@ -178,6 +197,11 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
             }
             if (far >= 0 && inside) {
                 stack[h] = far;
+                bound[h] = reach;
+                h++;
+            }
+            if (defer) {
+                stack[h] = ~v;
                 bound[h] = reach;
                 h++;
             }

@@ -15,15 +15,28 @@ and square roots are monotone, so reach is at most every computed distance
 it skips, underflow included (``|diff|`` is not once squares underflow to
 0).  A leaf has no plane, and its point is always evaluated.
 
+Both searches also defer by one rule.  While fewer than k neighbours are
+kept, the best distance is inf and bounds nothing, so a node's point would
+be evaluated on the spot however far it lies; the points near the root lie
+farthest from most targets.  Such a point is deferred instead: it waits on
+the stack with bound reach until the near subtree is searched, and is
+skipped if reach then exceeds the k-th best.  So a query evaluates O(1)
+points in fixed dimension (Friedman, Bentley & Finkel, ACM TOMS 1977; the
+bottom-up search of Bentley, SoCG 1990, for queries that are points of the
+tree), and k-NN pairs per point stay flat in n: about 15 on uniform 2-D
+points at k = 7 from n = 20000 to 300000.
+
 The build and both searches are C, ``_knn.c``, compiled by ``cc`` once per
 source hash at import and called through ``ctypes``.  The search runs the
-depth-first search of every query in turn, near child first (Friedman,
-Bentley & Finkel, ACM TOMS 1977), and keeps the k best in (distance, index)
-order.  The k-NN search sums squares dimension by dimension as
-``full_matrix`` does, so every distance has its bits.  The neighbours come
-back as one record array whose ``indices`` and ``distances`` fields are
-(n, k) arrays, and the keys of every pair evaluated on the way build the
-:class:`~sktdpc.sparse.SparseDistanceMatrix` that downstream stages reuse.
+depth-first search of every query in turn, near child first, and keeps the
+k best in (distance, index) order.  The k-NN search sums squares dimension
+by dimension as ``full_matrix`` does, so every distance has its bits.
+:func:`knn_all` takes the queries in tree preorder, so successive queries
+start from nearby points and find the nodes they pop still in cache.  The
+neighbours come back as one record array whose ``indices`` and
+``distances`` fields are (n, k) arrays, and the keys of every pair
+evaluated on the way build the :class:`~sktdpc.sparse.SparseDistanceMatrix`
+that downstream stages reuse.
 
 The nearest-denser search is the same function at k = 1 with a rank
 filter, as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD
@@ -111,17 +124,20 @@ def build(d: Dataset) -> KdTree:
 _READ = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_int64)
 
 
-def _load_kernel(cache: Path) -> ctypes.CDLL:
-    """The k-d tree kernel ``_knn.c``, compiled by ``cc`` into ``cache`` once
-    per hash of its source and flags, and loaded from there after that.
+def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=off")) -> ctypes.CDLL:
+    """The k-d tree kernel ``_knn.c``, compiled by ``cc`` with ``flags``
+    (beside ``-fPIC -shared``) into ``cache`` once per hash of its source
+    and flags, and loaded from there after that.
 
     The compiler writes a temporary file that ``os.replace`` moves into
     place, so processes building at once never load a partial library.  The
     flags keep IEEE arithmetic: no ``-ffast-math``, ``-Ofast`` or
     ``-march=native``, and no contraction into fused multiply-adds, which
-    would change the kernel's bits.  ImportError without a working ``cc``."""
+    would change the kernel's bits.  Other flags, such as those of a
+    sanitized build, give another library beside it.  ImportError without a
+    working ``cc``."""
     source = Path(__file__).with_name("_knn.c")
-    flags = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    flags = ["-fPIC", "-shared", *flags]
     digest = hashlib.sha256(source.read_bytes() + " ".join(flags).encode()).hexdigest()
     library = cache / f"_knn-{digest[:16]}.so"
     if not library.exists():
@@ -160,7 +176,7 @@ def _key_capacity(n_keys: int, done: int, m: int, n: int) -> int:
     more query, which evaluates at most n - 1 pairs, and for the others at
     the mean rate so far (8 keys a query before any is done)."""
     rate = n_keys / done if done else 8
-    return n_keys + n + int(rate * (m - done))
+    return n_keys + n - 1 + int(rate * (m - done))
 
 
 def _knn(
@@ -174,9 +190,9 @@ def _knn(
     each row ascending by (distance, index), unfilled slots ``(inf, n)``,
     and the key ``lo * n + hi`` of every pair evaluated, repeats included,
     of dtype :func:`~sktdpc.sparse.key_dtype`.  The kernel searches the
-    queries one after another and stops before a query when fewer than n
-    key slots are free; the buffer then grows (:func:`_key_capacity`) and
-    the kernel resumes at that query.  ``ndarray.resize`` grows the buffer
+    queries one after another and stops before a query when fewer than
+    n - 1 key slots are free; the buffer then grows (:func:`_key_capacity`)
+    and the kernel resumes at that query.  ``ndarray.resize`` grows the buffer
     by ``realloc``, so no second buffer is held beside it, and the last
     resize trims it to the keys written.  The rank filter writes no key: it
     reads each distance as ``cache.distance(target, j)``, and an exception
@@ -231,13 +247,16 @@ def _check_count(name: str, value: int, top: int) -> None:
         raise ValueError(f"{name} must be in [1, {top}], got {value}")
 
 
-def _records(indices: np.ndarray, distances: np.ndarray) -> np.recarray:
+def _records(
+    indices: np.ndarray, distances: np.ndarray, order: np.ndarray | slice = slice(None)
+) -> np.recarray:
     """One record per row of two ``(n, k)`` arrays: fields ``indices``
-    (int64) and ``distances`` (float64), each read back as an (n, k) array."""
-    k = indices.shape[1]
-    return np.rec.fromarrays(
-        (indices, distances), dtype=[("indices", np.int64, (k,)), ("distances", np.float64, (k,))]
-    )
+    (int64) and ``distances`` (float64), each read back as an (n, k) array.
+    Row q of the arrays goes to record ``order[q]``, in order by default."""
+    n, k = indices.shape
+    out = np.recarray(n, dtype=[("indices", np.int64, (k,)), ("distances", np.float64, (k,))])
+    out.indices[order], out.distances[order] = indices, distances
+    return out
 
 
 def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
@@ -247,17 +266,22 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     The neighbors are n records; their ``indices`` and ``distances`` fields
     are (n, k) arrays, row i ascending by (distance, index), so distance
     ties go to the lower point index.  Each point's query is a depth-first
-    search, near child first: a node's point is evaluated, and its far
-    child pushed with bound ``reach = sqrt(diff * diff)``, only when reach
-    is at most the current k-th-best distance (inf until k are kept); the
-    far child is tested again when popped, and a leaf's point is always
-    evaluated.  The ledger records the union of the pairs the queries
-    evaluated, each counted once, from one sorted block of their keys:
-    int32 while n * n < 2**31, else int64 (:func:`~sktdpc.sparse.key_dtype`).
+    search, near child first: a node's far child is pushed with bound
+    ``reach = sqrt(diff * diff)`` only when reach is at most the current
+    k-th-best distance, and tested again when popped.  Its point is
+    evaluated under the same test once k neighbours are kept; before that
+    it is deferred until after the near subtree, and skipped if reach then
+    exceeds the k-th best.  A leaf's point is always evaluated.  The
+    queries run in tree preorder (``tree.point``), and their rows are
+    scattered back to point order.  The ledger records the union of the
+    pairs the queries evaluated, each counted once, from one sorted block
+    of their keys: int32 while n * n < 2**31, else int64
+    (:func:`~sktdpc.sparse.key_dtype`).
     """
     _check_count("k", k, tree.dataset.n - 1)
-    indices, distances, keys = _knn(tree, np.arange(tree.dataset.n), k)
-    return _records(indices, distances), SparseDistanceMatrix(tree.dataset.points, tree, keys)
+    indices, distances, keys = _knn(tree, tree.point, k)
+    neighbors = _records(indices, distances, order=tree.point)
+    return neighbors, SparseDistanceMatrix(tree.dataset.points, tree, keys)
 
 
 def subtree_min_rank(tree: KdTree, rank: np.ndarray) -> np.ndarray:
@@ -286,7 +310,9 @@ def nearest_denser_all(
     two arrays: the distances and the indices; ``(inf, -1)`` for a target of
     the smallest rank.  Equal distances go to the lower index.  It is
     :func:`_knn` at k = 1 with the rank filter, which also skips every
-    subtree without a point of smaller rank (:func:`subtree_min_rank`); each
-    evaluation is a ``cache.distance(target, j)`` call, in search order."""
+    subtree without a point of smaller rank (:func:`subtree_min_rank`), and
+    defers a node's point until a point of smaller rank is found, as
+    :func:`knn_all` does; each evaluation is a ``cache.distance(target, j)``
+    call, in search order, the targets in the order given."""
     indices, distances, _ = _knn(tree, targets, 1, rank, cache)
     return distances.ravel(), np.where(indices < tree.dataset.n, indices, -1).ravel()  # (inf, n)

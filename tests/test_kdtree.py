@@ -469,14 +469,17 @@ def reference_knn_query(tree, target, k, cache, plain=False):
     internal node ``reach``, the target-to-plane distance taken as
     ``sqrt(diff * diff)``, bounds both the node's point and the far subtree:
     each is evaluated or searched only while fewer than k candidates are
-    kept, or reach is no farther than the k-th best.  A leaf has no plane,
-    so its point is always evaluated.  One scalar ``cache.distance`` per
-    evaluated point.
+    kept, or reach is no farther than the k-th best.  While fewer than k
+    are kept, the node's point is deferred: it is evaluated after the near
+    subtree, and only if reach is then no farther than the k-th best (or
+    fewer than k are still kept).  Once k are kept, it is evaluated before
+    the near subtree.  A leaf has no plane, so its point is always
+    evaluated.  One scalar ``cache.distance`` per evaluated point.
 
     ``plain=True`` gives plain hyperplane pruning instead, kept as a
-    superset check: every visited node's point is evaluated, and the far
-    subtree is bounded by ``|diff|``, which is no lower bound once squares
-    underflow."""
+    superset check: every visited node's point is evaluated, deferred or
+    not, and the far subtree is bounded by ``|diff|``, which is no lower
+    bound once squares underflow."""
     point, split_dim, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
@@ -489,27 +492,34 @@ def reference_knn_query(tree, target, k, cache, plain=False):
     def within(reach):
         return len(heap) < k or reach <= -heap[0][0]
 
+    def evaluate(idx):
+        d = cache.distance(target, idx)
+        if len(heap) < k:
+            heapq.heappush(heap, (-d, -idx))
+        else:
+            worst_d, worst_i = heap[0]
+            if (d, idx) < (-worst_d, -worst_i):
+                heapq.heapreplace(heap, (-d, -idx))
+
     def search(v):
         idx, dim = point[v], split_dim[v]
-        if dim >= 0:
-            diff = coords[dim] - split_value[v]
-            reach = abs(diff) if plain else math.sqrt(diff * diff)
-        if idx != target and (dim < 0 or plain or within(reach)):
-            d = cache.distance(target, idx)
-            if len(heap) < k:
-                heapq.heappush(heap, (-d, -idx))
-            else:
-                worst_d, worst_i = heap[0]
-                if (d, idx) < (-worst_d, -worst_i):
-                    heapq.heapreplace(heap, (-d, -idx))
         if dim < 0:
+            if idx != target:
+                evaluate(idx)
             return
+        diff = coords[dim] - split_value[v]
+        reach = abs(diff) if plain else math.sqrt(diff * diff)
+        deferred = idx != target and len(heap) < k
+        if idx != target and not deferred and (plain or within(reach)):
+            evaluate(idx)
         if diff <= 0.0:
             near, far = left[v], right[v]
         else:
             near, far = right[v], left[v]
         if near >= 0:
             search(near)
+        if deferred and (plain or within(reach)):
+            evaluate(idx)
         if far >= 0 and within(reach):
             search(far)
 
@@ -523,47 +533,63 @@ def reference_nearest_denser(tree, targets, rank, cache, plain=False):
     oracle: the (distance, index) pair of each target's nearest point of
     smaller rank, ``(inf, -1)`` for none.  Depth first, near child first; a
     popped subtree with no point of smaller rank, or whose bound is strictly
-    farther than the best distance, is skipped.  At an internal node the
-    point is evaluated, and the far child pushed, only when ``reach =
-    sqrt(diff * diff)`` is at most the best distance; a leaf's point of
-    smaller rank is always evaluated.  One ``cache.distance(target, j)`` per
-    evaluated point.
+    farther than the best distance, is skipped.  At an internal node the far
+    child is pushed only when ``reach = sqrt(diff * diff)`` is at most the
+    best distance.  The node's point of smaller rank is evaluated at once
+    under the same test once a point is found; before that it is pushed as
+    its own entry with bound reach, between the far child and the near
+    child, so it is popped after the near subtree and skipped like a
+    subtree.  A leaf's point of smaller rank is always evaluated.  One
+    ``cache.distance(target, j)`` per evaluated point.
 
     ``plain=True`` gives plain hyperplane pruning instead, kept as a
-    superset check: every visited node's point of smaller rank is evaluated,
-    and the far subtree is bounded by ``|diff|``."""
+    superset check: every visited node's point of smaller rank is
+    evaluated, deferred or not, and the far subtree is bounded by
+    ``|diff|``."""
     min_rank = reference_subtree_min_rank(tree, rank)
     point, split_dim, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
     split_value = _split_values(tree)
     rank = rank.tolist()
+
+    def closer(target, idx, best):
+        d = cache.distance(target, idx)
+        return (d, idx) if best[1] < 0 or (d, idx) < best else best
+
     out = []
     for target in targets.tolist():
         coords, r = tree.dataset.points[target].tolist(), rank[target]
-        best_d, best_j = math.inf, -1
-        stack = [(0, 0.0)]  # (node, lower bound on distances in its subtree)
+        best = (math.inf, -1)
+        # (node, lower bound on distances in its subtree, or on its point
+        # alone when deferred, deferred)
+        stack = [(0, 0.0, False)]
         while stack:
-            v, bound = stack.pop()
-            if min_rank[v] >= r or bound > best_d:
-                continue
+            v, bound, deferred = stack.pop()
             idx, dim = point[v], split_dim[v]
+            if deferred:
+                if plain or bound <= best[0]:
+                    best = closer(target, idx, best)
+                continue
+            if min_rank[v] >= r or bound > best[0]:
+                continue
             reach = 0.0  # a leaf has no plane
             if dim >= 0:
                 diff = coords[dim] - split_value[v]
                 reach = abs(diff) if plain else math.sqrt(diff * diff)
-            if rank[idx] < r and (plain or reach <= best_d):
-                d = cache.distance(target, idx)
-                if best_j < 0 or (d, idx) < (best_d, best_j):
-                    best_d, best_j = d, idx
+            defer = rank[idx] < r and dim >= 0 and best[1] < 0
+            if rank[idx] < r and not defer and (plain or reach <= best[0]):
+                best = closer(target, idx, best)
             if dim < 0:
                 continue
             near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
-            if far >= 0 and (plain or reach <= best_d):
-                stack.append((far, reach))
+            if far >= 0 and (plain or reach <= best[0]):
+                stack.append((far, reach, False))
+            if defer:
+                stack.append((v, reach, True))
             if near >= 0:
-                stack.append((near, bound))
-        out.append((best_d, best_j))
+                stack.append((near, bound, False))
+        out.append(best)
     return out
 
 
@@ -618,6 +644,113 @@ def test_knn_all_equals_reference_search_as_keys_grow_and_resume(monkeypatch):
     monkeypatch.setattr(kdtree, "_key_capacity", one_query)
     _assert_knn_all_equals_reference(d, 7)
     assert calls == list(range(d.n))
+
+
+def test_knn_all_equals_reference_search_when_the_key_buffer_fills_exactly(monkeypatch):
+    """A query evaluates each other point at most once, so n - 1 free key
+    slots are room enough.  At k = n - 1 every query evaluates all n - 1:
+    with the buffer grown to exactly that room, each query fills it to its
+    last slot and the kernel stops before the next."""
+    d = random_dataset(4, n=40, dim=2)
+    calls = []
+
+    def exact_room(n_keys, done, m, n):
+        assert n_keys == done * (n - 1)  # the buffer was full
+        if calls and calls[-1] == done:
+            raise AssertionError(f"the kernel stopped before query {done} with n - 1 free slots")
+        calls.append(done)
+        return n_keys + n - 1
+
+    monkeypatch.setattr(kdtree, "_key_capacity", exact_room)
+    _assert_knn_all_equals_reference(d, d.n - 1)
+    _assert_knn_all_equals_brute_force(d, d.n - 1)
+    assert calls == list(range(d.n)) * 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_knn_all_at_k_n_minus_1_on_few_points(n):
+    d = random_dataset(n, n=n, dim=2)
+    _assert_knn_all_equals_reference(d, n - 1)
+    _assert_knn_all_equals_brute_force(d, n - 1)
+
+
+def test_one_point_has_no_neighbour_and_no_denser_point():
+    tree = build(Dataset(np.array([[4.0, 2.0]])))
+    with pytest.raises(ValueError, match=r"k must be in \[1, 0\], got 1"):
+        knn_all(tree, 1)
+    ledger = SparseDistanceMatrix(tree.dataset.points)
+    got_d, got_j = nearest_denser_all(tree, np.array([0]), np.array([0]), ledger)
+    assert (got_d.tolist(), got_j.tolist()) == ([math.inf], [-1])
+    assert ledger.evaluations == 0
+
+
+@pytest.mark.parametrize("rank", [[0, 1], [1, 0]])
+def test_two_points_find_each_other_as_nearest_denser(rank):
+    d = Dataset(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    ledger = SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(build(d), np.array([0, 1]), np.array(rank), ledger)
+    denser = rank.index(0)
+    assert got_d.tolist() == [5.0 if i != denser else math.inf for i in range(2)]
+    assert got_j.tolist() == [denser if i != denser else -1 for i in range(2)]
+    assert ledger.evaluations == 1
+
+
+def _root_point_deferred_to_a_tie(tree, target, k):
+    """The root's point, which every query defers (nothing is kept when the
+    root is popped), asserted to lie on the root's plane at exactly the k-th
+    best distance the target keeps after the near subtree, and to have a
+    lower index than that k-th neighbour; returned."""
+    m = full_matrix(tree.dataset)
+    root, s = int(tree.point[0]), int(tree.split_dim[0])
+    diff = tree.dataset.points[target, s] - tree.dataset.points[root, s]
+    near = int(tree.left[0] if diff <= 0.0 else tree.right[0])
+    # the near subtree is searched exactly, so its k best are kept after it
+    below = tree.point[_subtree(tree, near)].tolist()
+    kept = sorted((m[target, j], j) for j in below if j != target)
+    kth_d, kth_j = kept[k - 1]
+    assert m[target, root] == math.sqrt(diff * diff) == kth_d and root < kth_j
+    return root
+
+
+def test_a_deferred_point_at_exactly_the_kth_best_is_evaluated():
+    """A deferred point whose reach equals the k-th best when it is popped
+    is evaluated, and, equidistant with the k-th neighbour and of lower
+    index, takes its place: ties go to the lower index.  On the lattice,
+    target 12 at k = 3 meets the root's point so."""
+    d, k, target = _lattice(), 3, 12
+    tree = build(d)
+    root = _root_point_deferred_to_a_tie(tree, target, k)
+    assert root in knn_all(tree, k)[0].indices[target].tolist()
+    _assert_knn_all_equals_brute_force(d, k)
+
+
+def test_a_deferred_point_at_exactly_the_best_is_evaluated_by_the_rank_filter():
+    """The same for the nearest-denser search (k = 1): on a 4 x 4 lattice,
+    target 5, the least dense point, meets the root's point at its best
+    distance, and the root's point, of lower index, is its answer."""
+    grid = np.array([(x, y) for x in range(4) for y in range(4)], dtype=float)
+    d, target = Dataset(grid[np.random.default_rng(2).permutation(16)]), 5
+    tree = build(d)
+    root = _root_point_deferred_to_a_tie(tree, target, 1)
+    rank = np.arange(d.n)
+    rank[target], rank[-1] = d.n - 1, target
+    ledger = SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(tree, np.array([target]), rank, ledger)
+    assert (got_d.tolist(), got_j.tolist()) == ([full_matrix(d)[target, root]], [root])
+
+
+def test_knn_pairs_per_point_stay_flat_in_n():
+    """k-NN pairs per point (distinct pairs over n) on uniform 2-D points
+    at k = 7: each query defers the points near the root until it keeps k
+    neighbours, so it evaluates O(1) points, about 15, at any n.  Without
+    the deferral they grow with log n, from 20.6 at n = 5000 to 22.8 at
+    20000 and 25.1 at 100000."""
+    per_point = {}
+    for n in (5000, 20_000, 100_000):
+        d = Dataset(np.random.default_rng(0).random((n, 2)))
+        per_point[n] = knn_all(build(d), 7)[1].evaluations / n
+    assert per_point[20_000] <= 16
+    assert all(abs(p / per_point[5000] - 1) <= 0.05 for p in per_point.values()), per_point
 
 
 @settings(max_examples=150, deadline=None)
