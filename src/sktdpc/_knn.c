@@ -2,6 +2,12 @@
    nearest neighbours and, with a rank filter, the nearest point of smaller
    rank (the dependent-point search of Ex-DPC, Amagata & Hara, SIGMOD 2021).
 
+   The build takes the points presorted once per dimension and partitions
+   those orders down the tree, node by node, so it sorts nothing itself:
+   the balanced build in O(dim * n log n) (Friedman, Bentley & Finkel, ACM
+   TOMS 1977; Brown, "Building a Balanced k-d Tree in O(kn log n) Time",
+   JCGT 4(1), 2015).
+
    Each query runs the depth-first search of Friedman, Bentley & Finkel
    (ACM TOMS 1977), near child first, one query after another.  At an
    internal node, reach = sqrt(plane * plane) of the difference between the
@@ -25,55 +31,51 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
+#include <string.h>
 
 /* A search pop pushes at most three entries (far child, deferred point,
    near child) and the near child is popped next, so each node on the path
    to the one popped leaves at most two: a search stack never holds more
    than 2 * depth + 1 entries, with depth = floor(log2 n) + 1 <= 63.  The
-   build pushes at most two spans a pop and holds at most depth + 1. */
+   build pushes at most two spans (node, start, size, parent's split
+   dimension) a pop and holds at most depth + 1. */
 #define STACK 128
-
-/* A point of the node being built: its coordinate in the node's split
-   dimension, and its index. */
-struct item { double x; int64_t i; };
-
-/* (coordinate, index) order; the points are finite, so no NaN. */
-static int by_coordinate(const void *a, const void *b)
-{
-    const struct item *p = a, *q = b;
-    int c = (p->x > q->x) - (p->x < q->x);
-    return c ? c : (p->i > q->i) - (p->i < q->i);
-}
 
 /* Fills the preorder arrays point, split_dim, left and right (-1: a leaf's
    split_dim, an absent child) of the tree over the n points, one node at a
-   time; items has n slots.  Node v's m points arrive in (coordinate, index)
-   order of its parent's split dimension, index order at the root, and each
-   dimension's mean and variance are summed down them in that order, as
-   numpy's var(axis=0) sums them.  In the first dimension of maximum
-   variance, the point of rank ceil(m/2) is v's, those before it form node
-   v + 1 and those after it node v + ceil(m/2). */
+   time.  Row d of the (dim, n) array order holds the points in
+   (coordinate, index) order of dimension d; spare has n slots and side n
+   bytes.  A span holds node v's m points at the same offset in every row,
+   each row's part in that row's order.  Each dimension's mean and variance
+   are summed down them in (coordinate, index) order of the parent's split
+   dimension, index order at the root, as numpy's var(axis=0) sums them.
+   In the first dimension s of maximum variance, the point of rank
+   ceil(m/2) is v's, those before it form node v + 1 and those after it
+   node v + ceil(m/2): row s already lists them so, and every other row's
+   span is partitioned stably, through spare, into the same three parts, so
+   each child's span is again in each row's order.  At the root, spare
+   holds the index order until the root's partition overwrites it. */
 void build_tree(int64_t n, int64_t dim, const double *points, int64_t *point,
                 int64_t *split_dim, int64_t *left, int64_t *right,
-                struct item *items)
+                int64_t *order, int64_t *spare, unsigned char *side)
 {
-    struct span { int64_t node, start, size; } stack[STACK] = {{0, 0, n}}; /* the root */
+    /* a span's points, and the row giving their summing order (-1: spare) */
+    struct span { int64_t node, start, size, parent_dim; } stack[STACK] = {{0, 0, n, -1}};
     int h = 1;
     for (int64_t i = 0; i < n; i++)
-        items[i].i = i;
+        spare[i] = i;
     while (h) {
         struct span top = stack[--h];
         int64_t v = top.node, m = top.size, s = 0;
-        struct item *it = items + top.start;
+        const int64_t *it = top.parent_dim < 0 ? spare : order + top.parent_dim * n + top.start;
         double widest = -1.0;
         for (int64_t d = 0; d < dim; d++) {
             double mean = 0.0, var = 0.0;
             for (int64_t r = 0; r < m; r++)
-                mean += points[it[r].i * dim + d];
+                mean += points[it[r] * dim + d];
             mean /= (double)m;
             for (int64_t r = 0; r < m; r++) {
-                double e = points[it[r].i * dim + d] - mean;
+                double e = points[it[r] * dim + d] - mean;
                 var += e * e;
             }
             var /= (double)m;
@@ -82,18 +84,35 @@ void build_tree(int64_t n, int64_t dim, const double *points, int64_t *point,
                 s = d;
             }
         }
-        for (int64_t r = 0; r < m; r++)
-            it[r].x = points[it[r].i * dim + s];
-        qsort(it, (size_t)m, sizeof *it, by_coordinate);
         int64_t low = (m + 1) / 2 - 1, high = m / 2; /* the pivot has rank ceil(m/2) */
-        point[v] = it[low].i;
+        const int64_t *ranked = order + s * n + top.start;
+        point[v] = ranked[low];
         split_dim[v] = m > 1 ? s : -1;
         left[v] = low ? v + 1 : -1;
         right[v] = high ? v + 1 + low : -1;
+        if (m == 1)
+            continue;
+        for (int64_t r = 0; r < m; r++) /* 0 left, 1 the pivot, 2 right */
+            side[ranked[r]] = (unsigned char)((r >= low) + (r > low));
+        for (int64_t d = 0; d < dim; d++) {
+            if (d == s)
+                continue;
+            int64_t *o = order + d * n + top.start, l = 0, g = 0;
+            for (int64_t r = 0; r < m; r++) { /* no branch: the sides are random */
+                int64_t i = o[r];
+                unsigned char c = side[i];
+                o[l] = i; /* l <= r: o[r] is read */
+                spare[g] = i;
+                l += c == 0;
+                g += c == 2;
+            }
+            o[low] = point[v];
+            memcpy(o + low + 1, spare, (size_t)high * sizeof *o);
+        }
         if (high)
-            stack[h++] = (struct span){v + 1 + low, top.start + low + 1, high};
+            stack[h++] = (struct span){v + 1 + low, top.start + low + 1, high, s};
         if (low)
-            stack[h++] = (struct span){v + 1, top.start, low};
+            stack[h++] = (struct span){v + 1, top.start, low, s};
     }
 }
 

@@ -3,7 +3,10 @@
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack with hyperplane pruning; the tree is
 floor(log2 n) + 1 deep on any input, ties included.  It is held as flat
-arrays in preorder and built one node at a time.  Nothing here recurses.
+arrays in preorder.  numpy sorts the points once per dimension, and the
+build partitions those orders down the tree one node at a time, so each
+node's points are already in order in its split dimension.  Nothing here
+recurses.
 
 Both searches prune by one rule.  A node's point lies on its own split
 plane and every point of its far subtree lies beyond it, so the target's
@@ -26,11 +29,12 @@ bottom-up search of Bentley, SoCG 1990, for queries that are points of the
 tree), and k-NN pairs per point stay flat in n: about 15 on uniform 2-D
 points at k = 7 from n = 20000 to 300000.
 
-The build and both searches are C, ``_knn.c``, compiled by ``cc`` once per
-source hash at import and called through ``ctypes``.  The search runs the
-depth-first search of every query in turn, near child first, and keeps the
-k best in (distance, index) order.  The k-NN search sums squares dimension
-by dimension as ``full_matrix`` does, so every distance has its bits.
+The build after its sorts and both searches are C, ``_knn.c``, compiled
+by ``cc`` once per source hash at import and called through ``ctypes``.
+The search runs the depth-first search of every query in turn, near
+child first, and keeps the k best in (distance, index) order.  The k-NN
+search sums squares dimension by dimension as ``full_matrix`` does, so
+every distance has its bits.
 :func:`knn_all` takes the queries in tree preorder, so successive queries
 start from nearby points and find the nodes they pop still in cache.  The
 neighbours come back as one record array whose ``indices`` and
@@ -105,19 +109,30 @@ class KdTree:
 
 
 def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Preorder arrays (point, split_dim, left, right), filled by ``build_tree``."""
+    """Preorder arrays (point, split_dim, left, right), filled by ``build_tree``
+    from one stable argsort per dimension.
+
+    Row d of ``order`` lists the points in (coordinate, index) order of
+    dimension d: the sort is stable and compares with ``<``, so -0.0 and 0.0
+    tie and go by index.  The kernel partitions those rows down the tree, so
+    nothing is sorted after this; its workspace is ``order``, an int64
+    ``spare`` row and a byte a point, (dim + 1) * 8n + n bytes."""
     # C reads each array by its address: every one is bound to a name, so it outlives the call
     pts = np.ascontiguousarray(points)
     n, dim = pts.shape
     arrays = tuple(np.empty(n, dtype=np.int64) for _ in range(4))
-    items = np.empty(n, dtype=[("x", np.float64), ("i", np.int64)])  # the kernel's sort space
-    _KERNEL.build_tree(n, dim, pts.ctypes.data, *(a.ctypes.data for a in arrays), items.ctypes.data)
+    order = np.ascontiguousarray(np.argsort(pts.T, axis=1, kind="stable"), dtype=np.int64)
+    spare, side = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint8)
+    _KERNEL.build_tree(
+        n, dim, pts.ctypes.data, *(a.ctypes.data for a in arrays),
+        order.ctypes.data, spare.ctypes.data, side.ctypes.data,
+    )
     return arrays
 
 
 def build(d: Dataset) -> KdTree:
-    """Build the spatial index in C, one node at a time: max-variance split
-    dimension, median split point."""
+    """Build the spatial index: one stable sort per dimension, then, in C,
+    one node at a time, max-variance split dimension, median split point."""
     return KdTree(d)
 
 
@@ -157,7 +172,7 @@ def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=of
             partial.unlink(missing_ok=True)
     kernel = ctypes.CDLL(str(library))
     kernel.build_tree.restype = None
-    kernel.build_tree.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6
+    kernel.build_tree.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
     kernel.knn_search.restype = ctypes.c_int64
     kernel.knn_search.argtypes = (
         [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2

@@ -1065,6 +1065,24 @@ def _mirrored():
     return np.column_stack((x, x[::-1]))
 
 
+def _signed_zeros():
+    """-0.0 and 0.0 mixed around the median of the widest column, ties in
+    the other: they compare equal, so the pivot and every child's order go
+    by index, which a sort on the raw bits would not give."""
+    rng = np.random.default_rng(80)
+    return np.column_stack(
+        (rng.choice([-2.0, -0.0, 0.0, 2.0], size=96), rng.integers(0, 2, size=96).astype(float))
+    )
+
+
+def _wide():
+    """40x13, more dimensions than the tree's 6 levels: most rows are never
+    a split dimension and are only partitioned down the tree.  Column
+    scales differ, so the splits fall on several dimensions."""
+    rng = np.random.default_rng(81)
+    return rng.normal(size=(40, 13)) * rng.uniform(0.5, 2.0, size=13)
+
+
 _lattice_points = _named("lattice", lambda: _lattice().points)
 _BUILD_CASES = [
     _lattice_points,
@@ -1079,6 +1097,8 @@ _BUILD_CASES = [
     _fixed("three_3d", [[0.5, 0.0, 2.0], [0.5, 1.0, 2.0], [0.5, 1.0, -2.0]]),
     _scaled(600),
     _scaled(-600),
+    _named("signed_zeros", _signed_zeros),
+    _named("wide_40x13", _wide),
 ]
 
 
@@ -1091,6 +1111,14 @@ def test_build_equals_reference_build(make):
 @given(adversarial())
 def test_build_equals_reference_build_on_adversarial_inputs(case):
     _assert_build_equals_reference(case[0].points)
+
+
+@pytest.mark.parametrize("workload", ["blobs15-5000", "uniform-7000x2", "uniform-2000x8"])
+def test_build_equals_reference_build_on_benchmark_inputs(workload):
+    """Trees 11 to 13 levels deep, whose spans are partitioned many times
+    over before they reach a leaf."""
+    for c in _benchmark_cells(workload):
+        _assert_build_equals_reference(c.data.points)
 
 
 def test_build_has_no_recursion():
