@@ -148,9 +148,9 @@ def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=of
     place, so processes building at once never load a partial library.  The
     flags keep IEEE arithmetic: no ``-ffast-math``, ``-Ofast`` or
     ``-march=native``, and no contraction into fused multiply-adds, which
-    would change the kernel's bits.  Other flags, such as those of a
-    sanitized build, give another library beside it.  ImportError without a
-    working ``cc``."""
+    would change the kernel's bits.  Other flags give another library; a
+    fresh build removes those of other sources or flags.  ImportError
+    without a working ``cc``."""
     source = Path(__file__).with_name("_knn.c")
     flags = ["-fPIC", "-shared", *flags]
     digest = hashlib.sha256(source.read_bytes() + " ".join(flags).encode()).hexdigest()
@@ -170,6 +170,8 @@ def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=of
             raise ImportError(f"cc could not build the k-d tree kernel:\n{e.stderr}") from None
         finally:
             partial.unlink(missing_ok=True)
+        for stale in set(cache.glob("_knn-*.so")) - {library}:
+            stale.unlink(missing_ok=True)  # another process may remove it first
     kernel = ctypes.CDLL(str(library))
     kernel.build_tree.restype = None
     kernel.build_tree.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8

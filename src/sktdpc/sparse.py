@@ -12,23 +12,23 @@ without rebuilding it.
 A pair ``(lo, hi)``, ``lo < hi``, is keyed by ``lo * n + hi``: an int32
 while ``n * n < 2**31`` (n <= 46340), so every key fits, and an int64 above
 that (:func:`key_dtype`), which halves the bytes of the bulk keys at all
-but the largest n.  The k-NN search hands its keys to the constructor in
-bulk, a pair it evaluated from both ends once per end; they live in one
-sorted key array, repeats and all, set once and never merged into, beside
-the count of the distinct keys in it.  A lookup casts its probe keys to
-that array's dtype, as ``searchsorted`` would otherwise copy the whole
-array to int64 on every call.  Pairs evaluated later go into a set of
-the keys outside the block.  One evaluated at a time (:meth:`distance`)
-only has its key appended to a list of pending keys; :meth:`_settle` moves
-the pending keys into the set in one vector pass, deduplicated and with
-those already in the block dropped, once 1024 are pending and before every
-read, so the pending list stays short and every count is exact.  All of
-one point's pairs at once (:meth:`distances`) go through the same pass.
+but the largest n.  Keys live in two sorted arrays of that dtype.  The
+block holds the keys handed to the constructor, a pair the k-NN search
+evaluated from both ends once per end; it is set once, repeats and all,
+beside the count of its distinct keys.  ``_late`` holds the distinct keys
+recorded after that, none of them in the block.  A lookup casts its probe
+keys to that dtype, as ``searchsorted`` would otherwise copy a whole array
+to int64 on every call.  One pair evaluated at a time (:meth:`distance`)
+only has its key appended to a list of pending keys; :meth:`_settle`
+deduplicates them, drops those either array holds and merges the rest into
+``_late`` in one vector pass, before every read and once the pending keys
+reach an eighth of ``_late`` (and at least 1024), so each key is merged
+O(1) times and every count is exact.  All of one point's pairs at once
+(:meth:`distances`) go through the same pass.  A ledger serves one thread.
 """
 
 from __future__ import annotations
 
-import threading
 from math import sqrt
 from operator import index
 
@@ -42,29 +42,32 @@ def key_dtype(n: int) -> type[np.signedinteger]:
     return np.int32 if n * n < 2**31 else np.int64
 
 
+def _holds(stored: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` (of ``stored``'s dtype) that the sorted array ``stored`` holds."""
+    if not len(stored):
+        return np.zeros(len(keys), dtype=bool)
+    return stored.take(stored.searchsorted(keys), mode="clip") == keys
+
+
 class SparseDistanceMatrix:
     """Ledger of the point-index pairs whose distance has been evaluated.
 
     ``distance(i, j)`` evaluates a pair and records it; the evaluation
     counter is the number of distinct pairs recorded, however often each is
-    read or handed over (the bulk keys keep their repeats, and their
-    distinct count is taken once, on construction); the bulk keys are one
-    sorted array of :func:`key_dtype`.  Squared differences
-    are summed dimension by dimension, in the order ``baseline.full_matrix``
-    uses, so every distance is bit-identical to it.  ``tree`` is the k-d
-    tree over the same points, or None.  Threads may share a ledger: they
-    append pending keys to one list, and :meth:`_settle` takes them out of
-    it and into the set while it holds a lock.
+    read or handed over.  Squared differences are summed dimension by
+    dimension, in the order ``baseline.full_matrix`` uses, so every
+    distance is bit-identical to it.  ``tree`` is the k-d tree over the
+    same points, or None.  A ledger serves one thread: it takes no lock.
     """
 
-    __slots__ = ("_columns", "_column_lists", "_n", "_block", "_block_pairs", "_extra",
-                 "_pending", "_lock", "tree")
+    __slots__ = ("_columns", "_column_lists", "_n", "_block", "_block_pairs", "_late",
+                 "_pending", "tree")
 
     def __init__(self, points: np.ndarray, tree=None, keys: np.ndarray | None = None):
         """A ledger over ``points`` recording every pair in ``keys``
         (integers ``lo * n + hi``, any order, repeats allowed; sorted in
-        place when already of dtype ``key_dtype(n)``, else copied to it).
-        ValueError names a key outside [0, n * n)."""
+        place when already a writeable array of dtype ``key_dtype(n)``,
+        else copied to it).  ValueError names a key outside [0, n * n)."""
         pts = np.asarray(points, dtype=np.float64)
         self._columns = np.ascontiguousarray(pts.T)
         self._column_lists = self._columns.tolist()  # the scalar reads index lists faster
@@ -76,19 +79,18 @@ class SparseDistanceMatrix:
         if len(keys) and (keys.min() < 0 or keys.max() >= n * n):
             bad = keys[(keys < 0) | (keys >= n * n)][0]
             raise ValueError(f"pair key out of range [0, {n * n}): {bad}")
-        keys = keys.astype(key_dtype(n), copy=False)
+        keys = keys.astype(key_dtype(n), copy=not keys.flags.writeable)
         keys.sort()
-        self._block = keys  # sorted, repeats kept; none of them in _extra
+        self._block = keys
         # distinct keys: a sorted array repeats a key in adjacent slots
         self._block_pairs = len(keys) - int(np.count_nonzero(keys[1:] == keys[:-1]))
-        self._extra: set[int] = set()
+        self._late = np.empty(0, dtype=keys.dtype)
         self._pending: list[int] = []  # keys of distance() calls not yet settled
-        self._lock = threading.Lock()
         self.tree = tree
 
     def __len__(self) -> int:
         self._settle()
-        return self._block_pairs + len(self._extra)
+        return self._block_pairs + len(self._late)
 
     @property
     def evaluations(self) -> int:
@@ -105,32 +107,28 @@ class SparseDistanceMatrix:
         return i * n + j if i < j else j * n + i
 
     def _settle(self, keys: np.ndarray | None = None) -> None:
-        """Move the pending keys, and ``keys`` (of the block's dtype) when
-        given, into the set: deduplicated by ``np.unique``, less those the
-        block holds, found by one vector ``searchsorted``.  Other threads
-        may append while this runs; it takes out only the keys it read, and
-        only once they are in the set, so a read that finds no key pending
-        misses none."""
+        """Merge the pending keys, and ``keys`` (of the block's dtype) when
+        given, into ``_late``: deduplicated, less those the block or
+        ``_late`` holds."""
         if not self._pending and keys is None:
             return
-        with self._lock:
-            count = len(self._pending)
-            fresh = np.array(self._pending[:count], dtype=self._block.dtype)
-            if keys is not None:
-                fresh = np.concatenate((fresh, keys))
-            fresh = np.unique(fresh)
-            if len(self._block):
-                p = np.minimum(self._block.searchsorted(fresh), len(self._block) - 1)
-                fresh = fresh[self._block[p] != fresh]
-            self._extra.update(fresh.tolist())
-            del self._pending[:count]  # appends land after the first count
+        fresh = np.array(self._pending, dtype=self._block.dtype)
+        self._pending.clear()
+        if keys is not None:
+            fresh = np.concatenate((fresh, keys))
+        fresh = np.unique(fresh)
+        fresh = fresh[~(_holds(self._block, fresh) | _holds(self._late, fresh))]
+        if len(fresh):
+            self._late = np.insert(self._late, self._late.searchsorted(fresh), fresh)
 
     def _stored(self, key: int) -> bool:
         self._settle()
-        if key in self._extra:
-            return True
-        p = self._block.searchsorted(self._block.dtype.type(key))  # never widen the block
-        return p < len(self._block) and self._block.item(p) == key
+        key = self._block.dtype.type(key)  # never widen either array
+        for stored in (self._block, self._late):
+            p = stored.searchsorted(key)
+            if p < len(stored) and stored.item(p) == key:
+                return True
+        return False
 
     def _compute(self, i: int, j: int) -> float:
         s = 0.0
@@ -145,7 +143,7 @@ class SparseDistanceMatrix:
         if i == j:
             return 0.0
         self._pending.append(key)
-        if len(self._pending) >= 1024:
+        if len(self._pending) >= max(1024, len(self._late) >> 3):
             self._settle()
         return self._compute(i, j)
 
@@ -166,7 +164,7 @@ class SparseDistanceMatrix:
             out += t
         np.sqrt(out, out=out)
         keys = np.where(js < i, js * n + i, i * n + js)[js != i]
-        self._settle(keys.astype(self._block.dtype))
+        self._settle(keys.astype(self._block.dtype, copy=False))
         return out
 
     def get(self, i: int, j: int) -> float | None:
@@ -182,10 +180,8 @@ class SparseDistanceMatrix:
     def pairs(self) -> set[tuple[int, int]]:
         """Snapshot of all recorded (low, high) index pairs."""
         self._settle()
-        lo, hi = np.divmod(self._block, self._n)
-        out = set(zip(lo.tolist(), hi.tolist()))
-        out.update(divmod(key, self._n) for key in list(self._extra))
-        return out
+        lo, hi = np.divmod(np.concatenate((self._block, self._late)), self._n)
+        return set(zip(lo.tolist(), hi.tolist()))
 
     def ratio(self) -> float:
         """Recorded pairs as a fraction of the full n(n-1)/2 pair count."""

@@ -299,85 +299,77 @@ def test_twelve_point_cache_shape():
                 assert cache.get(i, j) is None
 
 
-def test_cache_shared_by_threads_loses_no_pair():
-    """Single pairs from ``distance`` and whole rows from ``distances`` race
-    on one cache built by ``knn_all`` under a short switch interval; nothing
-    is lost or counted twice, and every value has the bits of a serial run."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    d = random_dataset(31, n=120, dim=2)
-    tree = build(d)
-    late = [(i, (7 * i + 3) % d.n) for i in range(d.n)]
-    rows = [(i, np.arange(i % 3, d.n, 3)) for i in range(0, d.n, 5)]
-    _, want = knn_all(tree, 4)
-    want_late = [want.distance(i, j) for i, j in late]
-    want_rows = [want.distances(i, js) for i, js in rows]
-    _, shared = knn_all(tree, 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(shared.distance, i, j) for i, j in late]
-            futures += [pool.submit(shared.distances, i, js) for i, js in rows]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array(results[: len(late)]).tobytes() == np.array(want_late).tobytes()
-    for got, row in zip(results[len(late) :], want_rows):
-        assert got.tobytes() == row.tobytes()
-    assert shared.pairs() == want.pairs()
-    assert shared.evaluations == want.evaluations == len(shared)
-
-
-def test_cache_threads_crossing_the_settle_threshold_count_exactly():
-    """Two threads make 4200 ``distance`` calls on one ledger, past the
-    1024 pending keys that trigger a settle four times over: new pairs,
-    pairs of the k-NN block, repeats of both, and pairs the other thread
-    also evaluates.  The values, ``evaluations`` and ``pairs()`` equal those
-    of a ledger fed the same pairs one by one."""
-    import sys
-    import threading
-
+def test_cache_crossing_the_settle_threshold_counts_exactly():
+    """4200 ``distance`` calls, over four times the 1024 pending keys that
+    trigger a settle: new pairs, pairs of the k-NN block, repeats of both
+    and of a common 300, and half the block pairs high index first.  One
+    ledger is read after every call, so it settles each time, and counts
+    one more evaluation exactly when the pair is new; another is read only
+    at the end.  Both give the full-matrix bits, and the pairs and count of
+    the block plus every pair called."""
     d = random_dataset(33, n=300, dim=2)
+    m = full_matrix(d)
     tree = build(d)
-    _, serial = knn_all(tree, 3)
-    bulk = sorted(serial.pairs())
+    _, eager = knn_all(tree, 3)
+    _, lazy = knn_all(tree, 3)
+    bulk = sorted(eager.pairs())
     rng = np.random.default_rng(7)
     common = [(int(a), int(b)) for a, b in rng.integers(0, d.n, (300, 2))]
-    work = []
+    calls = []
     for _ in range(2):
         fresh = [(int(a), int(b)) for a, b in rng.integers(0, d.n, (600, 2))]
         picks = rng.integers(0, len(bulk), 600).tolist()
         hits = [bulk[x] if x % 2 else bulk[x][::-1] for x in picks]  # half high index first
-        calls = fresh + hits + common + fresh[:300] + hits[:300]
-        work.append([calls[x] for x in rng.permutation(len(calls))])
-    want = [[serial.distance(i, j) for i, j in calls] for calls in work]
-    assert sum(map(len, work)) == 4200 and len(set(work[0] + work[1])) > 1024
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+        calls += fresh + hits + common + fresh[:300] + hits[:300]
+    calls = [calls[x] for x in rng.permutation(len(calls))]
+    want_pairs = set(bulk) | {(min(i, j), max(i, j)) for i, j in calls if i != j}
+    assert len(calls) == 4200 and len(want_pairs) - len(bulk) > 1024
+    seen = set(bulk)
+    for i, j in calls:
+        before = eager.evaluations
+        assert eager.distance(i, j) == lazy.distance(i, j) == m[i, j]
+        pair = (min(i, j), max(i, j))
+        assert eager.evaluations == before + (i != j and pair not in seen)
+        seen.add(pair)
+    # the lazy ledger settled four times on the way; a self pair pends no key
+    assert len(lazy._pending) == sum(i != j for i, j in calls) - 4 * 1024 > 0
+    for cache in (eager, lazy):
+        assert cache.evaluations == len(cache) == len(want_pairs)
+        assert cache.pairs() == want_pairs
+
+
+def test_cache_holds_a_row_of_keys_in_an_array():
+    """``distances(i, all)`` over n = 100 000 points (int64 keys) leaves the
+    ledger holding its 99 999 keys as one array, 0.8 MB; a set of Python
+    ints would hold several MB."""
+    n = 100_000
+    cache = SparseDistanceMatrix(np.random.default_rng(3).random((n, 2)))
+    js = np.arange(n)
+    tracemalloc.start()
     try:
-        for _ in range(10):  # a lost key shows only when a switch hits a settle
-            _, shared = knn_all(tree, 3)
-            got = [None, None]
-            start = threading.Barrier(2)
-
-            def run(t):
-                start.wait(timeout=60)
-                got[t] = [shared.distance(i, j) for i, j in work[t]]
-
-            threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-            assert got == want
-            assert shared.evaluations == serial.evaluations == len(shared) > len(bulk)
-            assert len(shared) == len(serial.pairs())
-            assert shared.pairs() == serial.pairs()
+        cache.distances(5, js)
+        held = tracemalloc.get_traced_memory()[0]
     finally:
-        sys.setswitchinterval(interval)
+        tracemalloc.stop()
+    assert cache._block.dtype == np.int64 and len(cache) == n - 1
+    assert held < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("n", [1000, 50_000])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_cache_takes_read_only_keys(n, dtype):
+    """Read-only keys, of the ledger's own dtype or not, are copied before
+    the sort: the caller's array is left as it was."""
+    lo, hi = np.sort(np.random.default_rng(n).integers(0, 200, (2, 3000)), axis=0)
+    keys = (lo * n + hi)[lo < hi].astype(dtype)  # every key below 2**31
+    keys = np.concatenate((keys, keys[:500]))
+    keys.flags.writeable = False
+    given = keys.copy()
+    cache = SparseDistanceMatrix(np.arange(n, dtype=float)[:, None], keys=keys)
+    assert keys.tobytes() == given.tobytes()
+    assert cache._block.dtype == kdtree.key_dtype(n)
+    assert len(cache) == cache.evaluations == len(set(zip(lo[lo < hi], hi[lo < hi])))
+    assert cache.pairs() == {divmod(int(key), n) for key in given}
 
 
 def test_query_on_tight_cluster_field():
@@ -768,6 +760,15 @@ def test_kernel_is_built_once_then_loaded_without_the_compiler(tmp_path, monkeyp
 
     monkeypatch.setattr(subprocess, "run", compiler)
     assert kdtree._load_kernel(tmp_path).knn_search.restype is kdtree.ctypes.c_int64
+
+
+def test_a_fresh_kernel_build_removes_the_stale_libraries(tmp_path):
+    """Each source or flag set builds a library of its own name; once a new
+    one is in place, those of earlier builds in the same cache go."""
+    first = Path(kdtree._load_kernel(tmp_path, ("-O1", "-ffp-contract=off"))._name)
+    second = Path(kdtree._load_kernel(tmp_path)._name)
+    assert first != second and first.parent == second.parent == tmp_path
+    assert list(tmp_path.iterdir()) == [second]
 
 
 def test_kernel_build_without_a_compiler_is_an_import_error(tmp_path, monkeypatch):
