@@ -9,21 +9,37 @@
    JCGT 4(1), 2015).
 
    Each query runs the depth-first search of Friedman, Bentley & Finkel
-   (ACM TOMS 1977), near child first, one query after another.  At an
-   internal node, reach = sqrt(plane * plane) of the difference between the
-   split value and the target's coordinate bounds both the node's point
-   (which lies on the plane) and the far subtree: the far child is pushed
-   with bound reach only when reach is at most the k-th best distance, and
-   tested again when it is popped, after the near subtree.  Once k are
-   kept, the node's point is evaluated on the spot under the same test.
-   While fewer are kept (the k-th best is inf), it is deferred instead: it
-   is pushed as its own entry with bound reach, between the far child and
-   the near child, so it is popped after the near subtree and skipped when
-   reach exceeds the k-th best by then.  The points near the root lie
-   farthest from most targets, and a query no longer evaluates them before
-   it keeps any neighbour, so it evaluates O(1) points in fixed dimension,
-   as the bottom-up search of Bentley ("K-d trees for semidynamic point
-   sets", SoCG 1990) does.  A leaf has no plane, and its point is always
+   (ACM TOMS 1977), near child first, one query after another.  A subtree's
+   cell carries the squared gap from the target to it in each dimension s:
+   fl(p[s] - x[s])^2 of the deepest ancestor split on s whose far side the
+   cell lies on, else 0.  The near child keeps its node's gaps; the far
+   child's replace the split dimension's with fl(plane * plane), plane the
+   difference between the split value and the target's coordinate.  At an
+   internal node, reach, the square root of the far cell's gaps summed from
+   0.0 in dimension order (the bounds-overlap-ball test of Friedman,
+   Bentley & Finkel), bounds both the node's point (which lies on the plane
+   and in the node's cell) and the far subtree.  Rounded subtraction,
+   squaring, addition and square root are monotone, and each point of the
+   cell lies at least a gap away in every dimension, so reach never
+   exceeds the computed distance of a point it bounds, underflow included.
+   On the target's own descent, where no far child was taken and every gap
+   is 0, the sum is not taken: reach is sqrt(plane * plane), bit for bit.  The far
+   child is pushed with bound reach only when reach is at most the k-th
+   best distance, and tested again when it is popped, after the near
+   subtree.  The search keeps one gap vector, that of the cell it is in,
+   and a trail of the gaps it replaced on its way down (Arya & Mount's
+   incremental distance, DCC 1993, without the running sum, which would
+   not be summed in order): a popped far child undoes the trail back to
+   its push, then sets its own gap, so no entry copies a vector.  Once k
+   are kept, the node's point is evaluated on the spot under the same
+   test.  While fewer are kept (the k-th best is inf), it is deferred
+   instead: it is pushed as its own entry with bound reach, below the near
+   subtree, so it is popped after that subtree and skipped when reach
+   exceeds the k-th best by then.  The points near the root lie farthest
+   from most targets, and a query no longer evaluates them before it keeps
+   any neighbour, so it evaluates O(1) points in fixed dimension, as the
+   bottom-up search of Bentley ("K-d trees for semidynamic point sets",
+   SoCG 1990) does.  A leaf has no plane, and its point is always
    evaluated.  Squares are summed from 0.0 dimension by dimension, as
    baseline.full_matrix sums them, so every distance has its bits.  Build
    without -ffast-math, -Ofast or FMA contraction: any of them changes
@@ -33,12 +49,13 @@
 #include <stdint.h>
 #include <string.h>
 
-/* A search pop pushes at most three entries (far child, deferred point,
-   near child) and the near child is popped next, so each node on the path
-   to the one popped leaves at most two: a search stack never holds more
-   than 2 * depth + 1 entries, with depth = floor(log2 n) + 1 <= 63.  The
-   build pushes at most two spans (node, start, size, parent's split
-   dimension) a pop and holds at most depth + 1. */
+/* A search step pushes at most two entries (far child, deferred point) and
+   goes on to the near child, so each node on the path from the root to
+   the one searched leaves at most two, and each far child on it one trail
+   entry: a search stack never holds more than 2 * depth entries, nor its
+   trail more than depth, with depth = floor(log2 n) + 1 <= 63.  The build
+   pushes at most two spans (node, start, size, parent's split dimension)
+   a pop and holds at most depth + 1. */
 #define STACK 128
 
 /* Fills the preorder arrays point, split_dim, left and right (-1: a leaf's
@@ -116,17 +133,69 @@ void build_tree(int64_t n, int64_t dim, const double *points, int64_t *point,
     }
 }
 
+/* One query's state: target t at x, its k best so far in best_i and
+   best_d, and where the pairs it evaluates go (keys, or the rank filter's
+   read). */
+struct query {
+    int64_t n, dim, k, t;
+    const double *x;
+    int64_t *best_i;
+    double *best_d;
+    void *keys;
+    int wide;
+    int64_t count;
+    const int64_t *rank;
+    double (*read)(int64_t, int64_t);
+};
+
+/* Evaluates point j, at p, from q's target and keeps it if it is among the
+   k best by (distance, index); nonzero when the read returns NaN. */
+static int evaluate(struct query *q, int64_t j, const double *p)
+{
+    double dist = 0.0;
+    if (q->rank) {
+        if (isnan(dist = q->read(q->t, j)))
+            return 1;
+    } else {
+        for (int64_t d = 0; d < q->dim; d++) {
+            double e = p[d] - q->x[d];
+            dist += e * e;
+        }
+        dist = sqrt(dist);
+        int64_t key = j < q->t ? j * q->n + q->t : q->t * q->n + j;
+        if (q->wide)
+            ((int64_t *)q->keys)[q->count++] = key;
+        else
+            ((int32_t *)q->keys)[q->count++] = (int32_t)key;
+    }
+    int64_t *best_i = q->best_i, c = q->k - 1;
+    double *best_d = q->best_d;
+    if (dist < best_d[c] || (dist == best_d[c] && j < best_i[c])) {
+        while (c > 0 && (dist < best_d[c - 1] ||
+                         (dist == best_d[c - 1] && j < best_i[c - 1]))) {
+            best_d[c] = best_d[c - 1];
+            best_i[c] = best_i[c - 1];
+            c--;
+        }
+        best_d[c] = dist;
+        best_i[c] = j;
+    }
+    return 0;
+}
+
 /* Searches targets[done], targets[done + 1], ... and returns the position
    of the first one not searched: m when all are, earlier when fewer than
    n - 1 key slots are free before a query (a query evaluates each other
    point at most once, on the spot or deferred).  Node v's point is
    point[v] with coordinates coords[v * dim : (v + 1) * dim]; split_dim[v]
    is -1 at a leaf, and left[v], right[v] are -1 for no child.  A stack
-   entry is a node v >= 0, or ~v for node v's deferred point.  Query q's
-   neighbours go to row q of the (m, k) arrays indices and distances,
-   ascending by (distance, index), unfilled columns (inf, n).  The key
-   lo * n + hi of every pair evaluated is appended to keys, int64 when
-   wide, else int32, at slot *n_keys, which ends past the last one
+   entry is the root or a far child v >= 0, or ~v for node v's deferred
+   point; gap holds dim doubles, the caller's workspace for the gaps of the
+   cell searched.
+   Query q's neighbours go to row q of the (m, k) arrays indices and
+   distances, ascending by (distance, index), unfilled columns (inf, n).
+   The key lo * n + hi of every pair evaluated is appended to keys, int64
+   when wide, else int32, at slot *n_keys, which ends past the last one
    written.  The rank filter (rank, min_rank, read) is NULL for k-NN.  With
    it, node v is skipped when min_rank[v], the smallest rank in its
    subtree, is not below rank[t]; only points of smaller rank are evaluated
@@ -139,98 +208,103 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                    int64_t done, int64_t *indices, double *distances,
                    void *keys, int wide, int64_t capacity, int64_t *n_keys,
                    const int64_t *rank, const int64_t *min_rank,
-                   double (*read)(int64_t, int64_t))
+                   double (*read)(int64_t, int64_t), double *gap)
 {
-    int64_t stack[STACK];
-    double bound[STACK];
-    int64_t count = *n_keys;
-    for (; done < m && (rank || capacity - count >= n - 1); done++) {
-        int64_t t = targets[done];
-        const double *x = points + t * dim;
-        int64_t *best_i = indices + done * k;
-        double *best_d = distances + done * k;
+    /* a stack entry: its node, its bound, the trail height at its push,
+       and, for a far child, the gap it sets (split dimension and square) */
+    int64_t stack[STACK], set_dim[STACK];
+    double bound[STACK], set_square[STACK];
+    int mark[STACK];
+    /* the trail: each gap a far child set, with the value it replaced */
+    int64_t trail_dim[STACK];
+    double trail_gap[STACK];
+    struct query q = {n, dim, k, 0, NULL, NULL, NULL, keys, wide, *n_keys, rank, read};
+    for (; done < m && (rank || capacity - q.count >= n - 1); done++) {
+        int64_t t = q.t = targets[done];
+        const double *x = q.x = points + t * dim;
+        int64_t *best_i = q.best_i = indices + done * k;
+        double *best_d = q.best_d = distances + done * k;
         for (int64_t c = 0; c < k; c++) {
             best_d[c] = INFINITY;
             best_i[c] = n;
         }
-        int h = 1;
-        stack[0] = 0; /* the root */
+        for (int64_t d = 0; d < dim; d++)
+            gap[d] = 0.0; /* the root's cell is all space */
+        int h = 1, trail = 0;
+        stack[0] = 0;
         bound[0] = -INFINITY;
+        mark[0] = 0;
+        set_dim[0] = -1;
         while (h) {
             h--;
             int64_t v = stack[h];
-            double worst = best_d[k - 1];
-            if (!(bound[h] <= worst))
+            if (!(bound[h] <= best_d[k - 1]))
                 continue;
-            int deferred = v < 0; /* node ~v's point, tested like a leaf's */
-            if (deferred)
-                v = ~v;
-            else if (rank && min_rank[v] >= rank[t])
+            if (v < 0) { /* node ~v's point, tested like a leaf's */
+                if (evaluate(&q, point[~v], coords + ~v * dim))
+                    return -1;
                 continue;
-            const double *p = coords + v * dim;
-            int64_t s = deferred ? -1 : split_dim[v];
-            double plane = 0.0, reach = 0.0;
-            if (s >= 0) {
-                plane = p[s] - x[s];
-                reach = sqrt(plane * plane);
             }
-            int inside = reach <= worst; /* a leaf has no plane: reach 0 */
-            int64_t j = point[v];
-            int wanted = j != t && (!rank || rank[j] < rank[t]);
-            int defer = wanted && s >= 0 && best_i[k - 1] == n; /* fewer than k kept */
-            if (wanted && inside && !defer) {
-                double dist = 0.0;
-                if (rank) {
-                    if (isnan(dist = read(t, j)))
+            while (trail > mark[h]) { /* back to the gaps of v's parent */
+                trail--;
+                gap[trail_dim[trail]] = trail_gap[trail];
+            }
+            if (set_dim[h] >= 0) {
+                trail_dim[trail] = set_dim[h];
+                trail_gap[trail] = gap[set_dim[h]];
+                trail++;
+                gap[set_dim[h]] = set_square[h];
+            }
+            for (;;) { /* down v's near children, which keep its cell's gaps */
+                if (rank && min_rank[v] >= rank[t])
+                    break;
+                const double *p = coords + v * dim;
+                int64_t s = split_dim[v], j = point[v];
+                int wanted = j != t && (!rank || rank[j] < rank[t]);
+                if (s < 0) { /* a leaf has no plane */
+                    if (wanted && evaluate(&q, j, p))
                         return -1;
-                } else {
-                    for (int64_t d = 0; d < dim; d++) {
-                        double e = p[d] - x[d];
-                        dist += e * e;
-                    }
-                    dist = sqrt(dist);
-                    int64_t key = j < t ? j * n + t : t * n + j;
-                    if (wide)
-                        ((int64_t *)keys)[count++] = key;
-                    else
-                        ((int32_t *)keys)[count++] = (int32_t)key;
+                    break;
                 }
-                if (dist < worst || (dist == worst && j < best_i[k - 1])) {
-                    int64_t c = k - 1;
-                    while (c > 0 && (dist < best_d[c - 1] ||
-                                     (dist == best_d[c - 1] && j < best_i[c - 1]))) {
-                        best_d[c] = best_d[c - 1];
-                        best_i[c] = best_i[c - 1];
-                        c--;
-                    }
-                    best_d[c] = dist;
-                    best_i[c] = j;
+                double plane = p[s] - x[s], square = plane * plane, reach = 0.0;
+                if (trail) { /* the far cell's gaps, summed as a distance is */
+                    double kept = gap[s];
+                    gap[s] = square;
+                    for (int64_t d = 0; d < dim; d++)
+                        reach += gap[d];
+                    gap[s] = kept;
+                    reach = sqrt(reach);
+                } else { /* all other gaps are 0 */
+                    reach = sqrt(square);
                 }
-            }
-            if (s < 0)
-                continue;
-            int64_t near = left[v], far = right[v];
-            if (plane < 0.0) { /* the target lies beyond the split value */
-                near = right[v];
-                far = left[v];
-            }
-            if (far >= 0 && inside) {
-                stack[h] = far;
-                bound[h] = reach;
-                h++;
-            }
-            if (defer) {
-                stack[h] = ~v;
-                bound[h] = reach;
-                h++;
-            }
-            if (near >= 0) {
-                stack[h] = near;
-                bound[h] = -INFINITY;
-                h++;
+                int inside = reach <= best_d[k - 1];
+                int defer = wanted && best_i[k - 1] == n; /* fewer than k kept */
+                if (wanted && inside && !defer && evaluate(&q, j, p))
+                    return -1;
+                int64_t near = left[v], far = right[v];
+                if (plane < 0.0) { /* the target lies beyond the split value */
+                    near = right[v];
+                    far = left[v];
+                }
+                if (far >= 0 && inside) {
+                    stack[h] = far;
+                    bound[h] = reach;
+                    mark[h] = trail;
+                    set_dim[h] = s;
+                    set_square[h] = square;
+                    h++;
+                }
+                if (defer) {
+                    stack[h] = ~v;
+                    bound[h] = reach;
+                    h++;
+                }
+                if (near < 0)
+                    break;
+                v = near;
             }
         }
     }
-    *n_keys = count;
+    *n_keys = q.count;
     return done;
 }

@@ -1,22 +1,31 @@
 """Exact k-nearest-neighbor and nearest-denser search over a k-d tree.
 
 The tree splits on the maximum-variance dimension at the median point, one
-point per node, and queries backtrack with hyperplane pruning; the tree is
-floor(log2 n) + 1 deep on any input, ties included.  It is held as flat
-arrays in preorder.  numpy sorts the points once per dimension, and the
-build partitions those orders down the tree one node at a time, so each
-node's points are already in order in its split dimension.  Nothing here
-recurses.
+point per node, and queries backtrack, pruning by the distance to a
+subtree's cell; the tree is floor(log2 n) + 1 deep on any input, ties
+included.  It is held as flat arrays in preorder.  numpy sorts the points
+once per dimension, and the build partitions those orders down the tree
+one node at a time, so each node's points are already in order in its
+split dimension.  Nothing here recurses.
 
-Both searches prune by one rule.  A node's point lies on its own split
-plane and every point of its far subtree lies beyond it, so the target's
-difference ``diff`` to the split value (the node's point's coordinate in
-its split dimension) bounds the distances of them all: at an internal node
-whose ``reach = sqrt(diff * diff)`` is beyond the best distance so far, a
-search skips the node's point and its far subtree.  Rounded squares, sums
-and square roots are monotone, so reach is at most every computed distance
-it skips, underflow included (``|diff|`` is not once squares underflow to
-0).  A leaf has no plane, and its point is always evaluated.
+Both searches prune by one rule, the bounds-overlap-ball test of
+Friedman, Bentley & Finkel (ACM TOMS 1977).  A subtree's cell lies a gap
+``g[s]`` from the target in each dimension s: the square of the target's
+difference ``diff`` to the split value of the deepest ancestor split on s
+whose far side the cell lies on, else 0.  A node's point lies on its own
+split plane and in its node's cell, and every point of its far subtree lies
+in the far cell, whose gaps are the node's with ``g[s] = diff * diff`` for
+the split dimension s; so ``reach``, the square root of the far cell's gaps
+summed from 0.0 in dimension order, as a distance is summed, bounds the
+distances of them all: at an internal node whose reach is beyond the best
+distance so far, a search skips the node's point and its far subtree.
+Rounded differences, squares, sums and square roots are monotone, so reach
+is at most every computed distance it skips, underflow included (``|diff|``
+is not once squares underflow to 0).  On the target's own descent every gap
+is 0 and reach is ``sqrt(diff * diff)``, the plane alone.  A leaf has no
+plane, and its point is always evaluated.  On uniform 8-D points at k = 7,
+n = 2000, k-NN evaluates about a third of all pairs, where the plane alone
+evaluates 85 %.
 
 Both searches also defer by one rule.  While fewer than k neighbours are
 kept, the best distance is inf and bounds nothing, so a node's point would
@@ -26,15 +35,17 @@ the stack with bound reach until the near subtree is searched, and is
 skipped if reach then exceeds the k-th best.  So a query evaluates O(1)
 points in fixed dimension (Friedman, Bentley & Finkel, ACM TOMS 1977; the
 bottom-up search of Bentley, SoCG 1990, for queries that are points of the
-tree), and k-NN pairs per point stay flat in n: about 15 on uniform 2-D
-points at k = 7 from n = 20000 to 300000.
+tree), and k-NN pairs per point stay flat in n: 13.3 to 13.7 on uniform
+2-D points at k = 7 from n = 5000 to 300000.
 
 The build after its sorts and both searches are C, ``_knn.c``, compiled
 by ``cc`` once per source hash at import and called through ``ctypes``.
 The search runs the depth-first search of every query in turn, near
-child first, and keeps the k best in (distance, index) order.  The k-NN
-search sums squares dimension by dimension as ``full_matrix`` does, so
-every distance has its bits.
+child first, and keeps the k best in (distance, index) order.  It holds
+the gaps of the cell it is in, in a workspace of ``dim`` doubles the
+caller passes, and a trail of those it replaced, so it allocates nothing.
+The k-NN search sums squares dimension by dimension as ``full_matrix``
+does, so every distance has its bits.
 :func:`knn_all` takes the queries in tree preorder, so successive queries
 start from nearby points and find the nodes they pop still in cache.  The
 neighbours come back as one record array whose ``indices`` and
@@ -179,7 +190,7 @@ def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=of
     kernel.knn_search.argtypes = (
         [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2
         + [ctypes.c_void_p] * 3 + [ctypes.c_int, ctypes.c_int64]
-        + [ctypes.c_void_p] * 3 + [_READ]
+        + [ctypes.c_void_p] * 3 + [_READ, ctypes.c_void_p]
     )
     return kernel
 
@@ -225,6 +236,7 @@ def _knn(
     indices = np.empty((m, k), dtype=np.int64)
     distances = np.empty((m, k))
     keys = np.empty(0 if rank is not None else _key_capacity(0, 0, m, n), dtype=key_dtype(n))
+    gap = np.empty(dim)  # the kernel's workspace: the gaps of the cell it is in
     n_keys = ctypes.c_int64(0)
     rank_filter, failure = (None, None, _READ()), []  # _READ(): a NULL callback
     if rank is not None:
@@ -246,6 +258,7 @@ def _knn(
             tree.left.ctypes.data, tree.right.ctypes.data, pts.ctypes.data, targets.ctypes.data,
             m, done, indices.ctypes.data, distances.ctypes.data, keys.ctypes.data,
             keys.dtype == np.int64, len(keys), ctypes.byref(n_keys), *rank_filter,
+            gap.ctypes.data,
         )
         if done == m or done < 0:
             break
@@ -284,8 +297,9 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     are (n, k) arrays, row i ascending by (distance, index), so distance
     ties go to the lower point index.  Each point's query is a depth-first
     search, near child first: a node's far child is pushed with bound
-    ``reach = sqrt(diff * diff)`` only when reach is at most the current
-    k-th-best distance, and tested again when popped.  Its point is
+    ``reach``, the target's distance to the far child's cell (see the
+    module docstring), only when reach is at most the current k-th-best
+    distance, and tested again when popped.  Its point is
     evaluated under the same test once k neighbours are kept; before that
     it is deferred until after the near subtree, and skipped if reach then
     exceeds the k-th best.  A leaf's point is always evaluated.  The

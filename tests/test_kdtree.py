@@ -455,28 +455,58 @@ def test_subtree_min_rank_equals_per_node_loop(points):
         assert subtree_min_rank(tree, rank).tolist() == reference_subtree_min_rank(tree, rank)
 
 
-def reference_knn_query(tree, target, k, cache, plain=False):
-    """The recursive depth-first search, kept as the oracle of the k-NN
-    kernel, which runs it with an explicit stack: near child first.  At an
-    internal node ``reach``, the target-to-plane distance taken as
-    ``sqrt(diff * diff)``, bounds both the node's point and the far subtree:
-    each is evaluated or searched only while fewer than k candidates are
-    kept, or reach is no farther than the k-th best.  While fewer than k
-    are kept, the node's point is deferred: it is evaluated after the near
-    subtree, and only if reach is then no farther than the k-th best (or
-    fewer than k are still kept).  Once k are kept, it is evaluated before
-    the near subtree.  A leaf has no plane, so its point is always
-    evaluated.  One scalar ``cache.distance`` per evaluated point.
+def _far_bound(rule, gaps, dim, diff):
+    """A search's lower bound on the distances from a target to a node's
+    point and its far subtree, where ``diff`` is the target's coordinate
+    less the split value in the split dimension ``dim``; ``gaps`` are the
+    squared gaps from the target to the node's cell.  ``"cell"``: the
+    square root of the gaps with gap ``dim`` replaced by ``diff * diff``,
+    summed from 0.0 in dimension order, as a distance is summed.
+    ``"plane"``: ``sqrt(diff * diff)``, the plane alone.  ``"plain"``:
+    ``|diff|``, no lower bound once squares underflow."""
+    if rule == "plain":
+        return abs(diff)
+    if rule == "plane":
+        return math.sqrt(diff * diff)
+    total = 0.0
+    for d, gap in enumerate(gaps):
+        total += diff * diff if d == dim else gap
+    return math.sqrt(total)
 
-    ``plain=True`` gives plain hyperplane pruning instead, kept as a
-    superset check: every visited node's point is evaluated, deferred or
-    not, and the far subtree is bounded by ``|diff|``, which is no lower
-    bound once squares underflow."""
+
+def _far_gaps(gaps, dim, diff):
+    """The far child's cell gaps: the node's, with gap ``dim`` the plane's."""
+    return gaps[:dim] + [diff * diff] + gaps[dim + 1 :]
+
+
+def reference_knn_query(tree, target, k, cache, rule="cell"):
+    """The recursive depth-first search, kept as the oracle of the k-NN
+    kernel, which runs it with an explicit stack: near child first.  A
+    subtree's cell carries the squared gaps from the target to it, one a
+    dimension: 0 at the root, the same in the near child, and in the far
+    child the node's with the split dimension's gap replaced by
+    ``diff * diff``, ``diff`` being the target's difference to the split
+    value.  At an internal node the bound of :func:`_far_bound` (``rule``
+    ``"cell"``: the far cell's gaps, summed as a distance is) bounds both
+    the node's point and the far subtree: each is evaluated or searched
+    only while fewer than k candidates are kept, or the bound is no farther
+    than the k-th best.  While fewer than k are kept, the node's point is
+    deferred: it is evaluated after the near subtree, and only if the bound
+    is then no farther than the k-th best (or fewer than k are still kept).
+    Once k are kept, it is evaluated before the near subtree.  A leaf has
+    no plane, so its point is always evaluated.  One scalar
+    ``cache.distance`` per evaluated point.
+
+    ``rule="plane"`` gives the plane-reach rule, ``sqrt(diff * diff)``, and
+    ``rule="plain"`` plain hyperplane pruning, which evaluates every
+    visited node's point, deferred or not, and bounds the far subtree by
+    ``|diff|``; both are kept as superset checks."""
     point, split_dim, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
     split_value = _split_values(tree)
     coords = tree.dataset.points[target].tolist()
+    plain = rule == "plain"
     # Max-heap of the best k candidates: heap root is the worst kept
     # (largest distance, then largest index), as (-distance, -index).
     heap = []
@@ -493,14 +523,14 @@ def reference_knn_query(tree, target, k, cache, plain=False):
             if (d, idx) < (-worst_d, -worst_i):
                 heapq.heapreplace(heap, (-d, -idx))
 
-    def search(v):
+    def search(v, gaps):
         idx, dim = point[v], split_dim[v]
         if dim < 0:
             if idx != target:
                 evaluate(idx)
             return
         diff = coords[dim] - split_value[v]
-        reach = abs(diff) if plain else math.sqrt(diff * diff)
+        reach = _far_bound(rule, gaps, dim, diff)
         deferred = idx != target and len(heap) < k
         if idx != target and not deferred and (plain or within(reach)):
             evaluate(idx)
@@ -509,41 +539,44 @@ def reference_knn_query(tree, target, k, cache, plain=False):
         else:
             near, far = right[v], left[v]
         if near >= 0:
-            search(near)
+            search(near, gaps)
         if deferred and (plain or within(reach)):
             evaluate(idx)
         if far >= 0 and within(reach):
-            search(far)
+            search(far, _far_gaps(gaps, dim, diff))
 
-    search(0)
+    search(0, [0.0] * tree.dataset.dim)
     found = sorted((-d, -i) for d, i in heap)
     return [i for _, i in found], [d for d, _ in found]
 
 
-def reference_nearest_denser(tree, targets, rank, cache, plain=False):
+def reference_nearest_denser(tree, targets, rank, cache, rule="cell"):
     """The scalar stack walk the kernel's rank filter replaced, kept as its
     oracle: the (distance, index) pair of each target's nearest point of
     smaller rank, ``(inf, -1)`` for none.  Depth first, near child first; a
     popped subtree with no point of smaller rank, or whose bound is strictly
     farther than the best distance, is skipped.  At an internal node the far
-    child is pushed only when ``reach = sqrt(diff * diff)`` is at most the
+    child is pushed only when the bound of :func:`_far_bound` (``rule``
+    ``"cell"``: the far cell's gaps, summed as a distance is, the cells'
+    gaps kept as :func:`reference_knn_query` keeps them) is at most the
     best distance.  The node's point of smaller rank is evaluated at once
     under the same test once a point is found; before that it is pushed as
-    its own entry with bound reach, between the far child and the near
+    its own entry with that bound, between the far child and the near
     child, so it is popped after the near subtree and skipped like a
     subtree.  A leaf's point of smaller rank is always evaluated.  One
     ``cache.distance(target, j)`` per evaluated point.
 
-    ``plain=True`` gives plain hyperplane pruning instead, kept as a
-    superset check: every visited node's point of smaller rank is
-    evaluated, deferred or not, and the far subtree is bounded by
-    ``|diff|``."""
+    ``rule="plane"`` gives the plane-reach rule and ``rule="plain"`` plain
+    hyperplane pruning, which evaluates every visited node's point of
+    smaller rank, deferred or not, and bounds the far subtree by
+    ``|diff|``; both are kept as superset checks."""
     min_rank = reference_subtree_min_rank(tree, rank)
     point, split_dim, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
     split_value = _split_values(tree)
     rank = rank.tolist()
+    plain = rule == "plain"
 
     def closer(target, idx, best):
         d = cache.distance(target, idx)
@@ -554,10 +587,10 @@ def reference_nearest_denser(tree, targets, rank, cache, plain=False):
         coords, r = tree.dataset.points[target].tolist(), rank[target]
         best = (math.inf, -1)
         # (node, lower bound on distances in its subtree, or on its point
-        # alone when deferred, deferred)
-        stack = [(0, 0.0, False)]
+        # alone when deferred, deferred, its cell's gaps)
+        stack = [(0, 0.0, False, [0.0] * tree.dataset.dim)]
         while stack:
-            v, bound, deferred = stack.pop()
+            v, bound, deferred, gaps = stack.pop()
             idx, dim = point[v], split_dim[v]
             if deferred:
                 if plain or bound <= best[0]:
@@ -568,7 +601,7 @@ def reference_nearest_denser(tree, targets, rank, cache, plain=False):
             reach = 0.0  # a leaf has no plane
             if dim >= 0:
                 diff = coords[dim] - split_value[v]
-                reach = abs(diff) if plain else math.sqrt(diff * diff)
+                reach = _far_bound(rule, gaps, dim, diff)
             defer = rank[idx] < r and dim >= 0 and best[1] < 0
             if rank[idx] < r and not defer and (plain or reach <= best[0]):
                 best = closer(target, idx, best)
@@ -576,11 +609,11 @@ def reference_nearest_denser(tree, targets, rank, cache, plain=False):
                 continue
             near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
             if far >= 0 and (plain or reach <= best[0]):
-                stack.append((far, reach, False))
+                stack.append((far, reach, False, _far_gaps(gaps, dim, diff)))
             if defer:
-                stack.append((v, reach, True))
+                stack.append((v, reach, True, None))
             if near >= 0:
-                stack.append((near, bound, False))
+                stack.append((near, bound, False, gaps))
         out.append(best)
     return out
 
@@ -731,18 +764,114 @@ def test_a_deferred_point_at_exactly_the_best_is_evaluated_by_the_rank_filter():
     assert (got_d.tolist(), got_j.tolist()) == ([full_matrix(d)[target, root]], [root])
 
 
+def _checkerboard():
+    """The 18 points of a 6 x 6 lattice whose coordinates have an even sum,
+    shuffled: a point's nearest neighbours lie on the diagonals, at the
+    corners of the cells beside it, four of them equidistant."""
+    grid = np.array([(x, y) for x in range(6) for y in range(6) if (x + y) % 2 == 0], float)
+    return Dataset(grid[np.random.default_rng(4).permutation(len(grid))])
+
+
+def _corner_tie(tree, target, k):
+    """The target's k-th nearest neighbour, asserted to lie at the corner
+    of its node's cell, where the cell's gaps to the target are nonzero in
+    both dimensions and sum to exactly its squared distance, and to win an
+    index tie against an equidistant point left out of the row; returned.
+    A search that skipped the cell would keep that other point instead."""
+    m = full_matrix(tree.dataset)
+    row = knn_all(tree, k)[0].indices[target].tolist()
+    j = row[-1]
+    u, v = tree.point.tolist().index(j), 0
+    x, gaps = tree.dataset.points[target], [0.0] * tree.dataset.dim
+    while v != u:
+        s = int(tree.split_dim[v])
+        diff = x[s] - tree.dataset.points[tree.point[v], s]
+        near, far = (tree.left[v], tree.right[v]) if diff <= 0.0 else (tree.right[v], tree.left[v])
+        if u in _subtree(tree, int(far)):
+            gaps[s], v = diff * diff, int(far)
+        else:
+            v = int(near)
+    assert all(gaps) and math.sqrt(sum(gaps)) == m[target, j]
+    assert any(m[target, i] == m[target, j] and i not in row for i in range(j + 1, tree.dataset.n))
+    return j
+
+
+def test_a_point_at_a_cell_corner_at_exactly_the_kth_best_is_evaluated():
+    """A far cell whose bound, its gaps summed in both dimensions, equals
+    the k-th best when it is popped is searched, and its corner point, at
+    exactly that distance and of lower index than the k-th neighbour,
+    takes its place.  On the checkerboard, target 10 at k = 3 meets point
+    7 so."""
+    d, k, target = _checkerboard(), 3, 10
+    assert _corner_tie(build(d), target, k) == 7
+    _assert_knn_all_equals_brute_force(d, k)
+
+
+def test_a_point_at_a_cell_corner_at_exactly_the_best_is_evaluated_by_the_rank_filter():
+    """The same for the nearest-denser search (k = 1): on the checkerboard,
+    every other point denser than target 7, its nearest denser point is
+    point 1, at a cell corner and at exactly the best distance."""
+    d, target = _checkerboard(), 7
+    tree = build(d)
+    assert _corner_tie(tree, target, 1) == 1
+    rank = np.arange(d.n)
+    rank[target], rank[-1] = d.n - 1, target
+    ledger = SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(tree, np.array([target]), rank, ledger)
+    assert (got_d.tolist(), got_j.tolist()) == ([full_matrix(d)[target, 1]], [1])
+
+
 def test_knn_pairs_per_point_stay_flat_in_n():
     """k-NN pairs per point (distinct pairs over n) on uniform 2-D points
     at k = 7: each query defers the points near the root until it keeps k
-    neighbours, so it evaluates O(1) points, about 15, at any n.  Without
-    the deferral they grow with log n, from 20.6 at n = 5000 to 22.8 at
-    20000 and 25.1 at 100000."""
+    neighbours, so it evaluates O(1) points, about 13.4 (15.1 under the
+    plane bound alone), at any n.  Without the deferral they grew with
+    log n, from 20.6 at n = 5000 to 22.8 at 20000 and 25.1 at 100000."""
     per_point = {}
     for n in (5000, 20_000, 100_000):
         d = Dataset(np.random.default_rng(0).random((n, 2)))
         per_point[n] = knn_all(build(d), 7)[1].evaluations / n
     assert per_point[20_000] <= 16
     assert all(abs(p / per_point[5000] - 1) <= 0.05 for p in per_point.values()), per_point
+
+
+def test_knn_evaluates_under_two_fifths_of_the_pairs_in_8d():
+    """k-NN pairs on uniform 8-D points at k = 7, n = 2000, as a share of
+    all n(n - 1)/2: the cell bound sums the gaps to a far subtree's whole
+    cell, so it prunes in 8-D, where the plane alone evaluates 85 %; about
+    33 % here."""
+    n = 2000
+    d = Dataset(np.random.default_rng(0).random((n, 8)))
+    share = knn_all(build(d), 7)[1].evaluations / (n * (n - 1) / 2)
+    assert share <= 0.40, share
+
+
+@pytest.mark.parametrize("n, dim, k", [(2000, 64, 7), (1, 3, 1), (2, 3, 1)])
+def test_kernel_equals_brute_force_at_its_bounds(n, dim, k):
+    """The kernel called directly, on a gap workspace of exactly dim
+    doubles: in 64-D, where a search keeps 64 gaps, and on one and two
+    points, every k-NN row (unfilled columns (inf, n)) and the
+    nearest-denser answers of at most 100 targets under a random rank equal
+    the full matrix's, distance bits included."""
+    d = Dataset(np.random.default_rng(dim + n).normal(size=(n, dim)))
+    tree = build(d)
+    every = np.arange(n)
+    # a sentinel column n at inf; a point is not its own neighbour
+    m = np.hstack([full_matrix(d), np.full((n, 1), np.inf)])
+    m[every, every] = np.nan  # argsort puts nan last
+    indices, distances, _ = kdtree._knn(tree, every, k)
+    want = np.argsort(m, axis=1, kind="stable")[:, :k]
+    assert indices.tolist() == want.tolist()
+    assert distances.tobytes() == np.take_along_axis(m, want, axis=1).tobytes()
+    rank = np.random.default_rng(n).permutation(n)
+    targets = every[:: -(-n // 100)]
+    m = m[targets]
+    m[:, :n][rank[None, :] >= rank[targets, None]] = np.nan  # only points of smaller rank
+    ledger = SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(tree, targets, rank, ledger)
+    want = np.argsort(m, axis=1, kind="stable")[:, 0]
+    assert got_j.tolist() == np.where(want < n, want, -1).tolist()
+    assert got_d.tobytes() == m[np.arange(len(targets)), want].tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1167,30 +1296,48 @@ def test_tree_shape_on_ties_equals_shape_on_uniform_points(points):
 
 
 def _assert_pairs_within_plain_pruning(d, k):
-    """Plane-reach pruning only drops work: from every query of a sample of
-    at most about 200, the pairs the k-NN search evaluates, and those the
-    nearest-denser walk evaluates (density ranks of the k-NN result), are
-    among the pairs plain hyperplane pruning evaluates from the same query
-    on the same tree, and the walk finds the same points.  Where squares do
-    not underflow, sqrt(diff * diff) == |diff|, so both rules take the same
-    path and keep the same best; the new rule skips only node points that
-    could not enter it."""
+    """Pruning only drops work: from every query of a sample of at most
+    about 200, the pairs the k-NN kernel evaluates are among those the
+    plane-reach rule evaluates from the same query on the same tree, and
+    those among the pairs plain hyperplane pruning evaluates; so are the
+    pairs of the nearest-denser search (density ranks of the k-NN result)
+    against the reference walk's under the same two rules, and every rule
+    finds the same points.  Where squares do not underflow, sqrt(diff *
+    diff) == |diff|, so the plane rule takes plain pruning's path and skips
+    only node points that could not enter the best; the cell bound is at
+    least the plane's, so it skips more, never a point that could enter."""
     tree = build(d)
     queries = np.arange(0, d.n, -(-d.n // 200))
-    _, _, keys = kdtree._knn(tree, queries, k)
-    plain = SparseDistanceMatrix(d.points)
-    for i in queries.tolist():
-        reference_knn_query(tree, i, k, plain, plain=True)
-    assert set(zip(*(a.tolist() for a in np.divmod(keys, d.n)))) <= plain.pairs()
     _, order = core.local_density(knn_all(tree, k)[0])
     rank = np.empty(d.n, dtype=np.int64)
     rank[order] = np.arange(d.n)
-    walk, plain_walk = SparseDistanceMatrix(d.points), SparseDistanceMatrix(d.points)
+    walk = _CallLog(d.points)
     got_d, got_j = nearest_denser_all(tree, queries, rank, walk)
-    assert list(zip(got_d.tolist(), got_j.tolist())) == reference_nearest_denser(
-        tree, queries, rank, plain_walk, plain=True
-    )
-    assert walk.pairs() <= plain_walk.pairs()
+    walks = [_pairs_by_target(walk.calls)]
+    for rule in ("plane", "plain"):
+        log = _CallLog(d.points)
+        assert list(zip(got_d.tolist(), got_j.tolist())) == reference_nearest_denser(
+            tree, queries, rank, log, rule
+        )
+        walks.append(_pairs_by_target(log.calls))
+    for i in queries.tolist():
+        indices, _, keys = kdtree._knn(tree, np.array([i]), k)
+        lo, hi = np.divmod(keys, d.n)
+        knn = [set((lo + hi - i).tolist())]  # the other point of each pair
+        for rule in ("plane", "plain"):
+            log = _CallLog(d.points)
+            assert reference_knn_query(tree, i, k, log, rule)[0] == indices[0].tolist()
+            knn.append({j for _, j, _ in log.calls})
+        for pairs in (knn, [w.get(i, set()) for w in walks]):
+            assert pairs[0] <= pairs[1] <= pairs[2], i
+
+
+def _pairs_by_target(calls):
+    """The points each target was evaluated against, by ``_CallLog`` calls."""
+    out = {}
+    for i, j, _ in calls:
+        out.setdefault(i, set()).add(j)
+    return out
 
 
 @pytest.mark.parametrize(
