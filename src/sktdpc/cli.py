@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
     header = ["k", "centers", "mutation_point", "evaluation_ratio"]
     has_truth = raw.labels is not None
     if has_truth:
-        header += ["acc", "ami", "ari", "nmi", "fmi"]
+        header += metrics.INDICES
     rows = ["\t".join(header)]
     for k in range(args.k_min, args.k_max + 1):
         result = core.run_sktdpc(d, k, n_centers=args.n_centers)
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
                f"{result.distance_ratio:.6f}"]
         if has_truth:
             scores = metrics.score_all(raw.labels, result.labels)
-            row += [f"{scores[m]:.6f}" for m in ("acc", "ami", "ari", "nmi", "fmi")]
+            row += [f"{scores[m]:.6f}" for m in metrics.INDICES]
         rows.append("\t".join(row))
     text = "\n".join(rows) + "\n"
     _write(args.output, text)

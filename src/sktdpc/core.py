@@ -69,7 +69,7 @@ class ClusteringResult:
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
     """Indices sorting values descending, equal values by ascending index."""
-    return np.lexsort((np.arange(len(values)), -values))
+    return np.argsort(-values, kind="stable")
 
 
 def local_density(neighbors: np.recarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,7 @@ is at most every computed distance it skips, underflow included (``|diff|``
 is not once squares underflow to 0).  On the target's own descent every gap
 is 0 and reach is ``sqrt(diff * diff)``, the plane alone.  A leaf has no
 plane, and its point is always evaluated.  On uniform 8-D points at k = 7,
-n = 2000, k-NN evaluates about a third of all pairs, where the plane alone
-evaluates 85 %.
+n = 2000, k-NN evaluates about a third of all pairs.
 
 Both searches also defer by one rule.  While fewer than k neighbours are
 kept, the best distance is inf and bounds nothing, so a node's point would
@@ -207,6 +206,15 @@ def _key_capacity(n_keys: int, done: int, m: int, n: int) -> int:
     return n_keys + n - 1 + int(rate * (m - done))
 
 
+def _indices(name: str, values) -> np.ndarray:
+    """``values`` as a contiguous int64 array; TypeError unless they are of
+    an integer dtype (bool is not), so no float or bool is cast to an index."""
+    values = np.asarray(values)
+    if len(values) and values.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be integers, got dtype {values.dtype}")
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
 def _knn(
     tree: KdTree, targets: np.ndarray, k: int,
     rank: np.ndarray | None = None, cache: SparseDistanceMatrix | None = None,
@@ -224,11 +232,13 @@ def _knn(
     by ``realloc``, so no second buffer is held beside it, and the last
     resize trims it to the keys written.  The rank filter writes no key: it
     reads each distance as ``cache.distance(target, j)``, and an exception
-    raised there stops the search and is raised here."""
+    raised there stops the search and is raised here.  TypeError unless
+    ``targets`` and ``rank`` are integers, IndexError unless every target
+    lies in [0, n)."""
     # C reads each array by its address: every one is bound to a name, so it outlives the call
     pts = np.ascontiguousarray(tree.dataset.points)
     n, dim = pts.shape
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
+    targets = _indices("targets", targets)
     m = len(targets)
     if m and not 0 <= targets.min() <= targets.max() < n:
         raise IndexError(f"targets must lie in [0, {n})")
@@ -240,7 +250,7 @@ def _knn(
     n_keys = ctypes.c_int64(0)
     rank_filter, failure = (None, None, _READ()), []  # _READ(): a NULL callback
     if rank is not None:
-        rank = np.ascontiguousarray(rank, dtype=np.int64)
+        rank = _indices("rank", rank)
         min_rank = np.ascontiguousarray(subtree_min_rank(tree, rank), dtype=np.int64)
 
         @_READ

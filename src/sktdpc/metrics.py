@@ -3,13 +3,18 @@
 Accuracy uses exact optimal one-to-one matching between clusters and
 classes; the information-theoretic indices use natural-log entropies and the
 exact hypergeometric expected mutual information for the adjustment.  All
-five indices are 1 for a perfect match.
+five indices are 1 for a perfect match.  Where the denominator of ARI, NMI,
+AMI or FMI is zero, as at n = 1, the index is 1 for identical partitions and
+0 otherwise (:func:`_degenerate`).  Pair counts are exact
+Python integers, and the terms of the mutual information and of its
+expectation are added in order (:func:`_in_order_sum`), so every index has
+the bits of a scalar loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -18,9 +23,13 @@ from scipy.special import gammaln
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Co-occurrence counts between true classes (rows) and clusters (columns)."""
+    """Co-occurrence counts between true classes (rows) and clusters
+    (columns), with their row sums, column sums and total, all read-only."""
 
     counts: np.ndarray
+    row_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    col_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -28,20 +37,11 @@ class ContingencyTable:
             raise ValueError("contingency table must be a non-empty 2-D matrix")
         if (counts < 0).any():
             raise ValueError("contingency counts must be non-negative")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+        for name, value in (("counts", counts), ("row_sums", counts.sum(axis=1)),
+                            ("col_sums", counts.sum(axis=0))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", int(counts.sum()))
 
 
 def contingency(truth, pred) -> ContingencyTable:
@@ -59,9 +59,18 @@ def contingency(truth, pred) -> ContingencyTable:
     return ContingencyTable(counts)
 
 
-def _identical_partitions(t: ContingencyTable) -> bool:
+def _degenerate(t: ContingencyTable) -> float:
+    """The value of ARI, NMI, AMI and FMI where their denominator is zero:
+    1.0 if the partitions are identical (every class is one cluster), else
+    0.0."""
     nonzero = t.counts > 0
-    return bool((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all())
+    return float((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all())
+
+
+def _in_order_sum(terms: np.ndarray) -> float:
+    """``terms`` added to 0.0 one at a time, in order, as a scalar loop adds
+    them; ``np.cumsum`` does so, where ``np.sum`` would add them pairwise."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def acc(t: ContingencyTable) -> float:
@@ -70,29 +79,22 @@ def acc(t: ContingencyTable) -> float:
     return float(t.counts[rows, cols].sum()) / t.n
 
 
-def _comb2(x) -> int:
-    x = int(x)
-    return x * (x - 1) // 2
-
-
 def _pair_counts(t: ContingencyTable) -> tuple[int, int, int]:
-    index = sum(_comb2(v) for v in t.counts.ravel())
-    sum_rows = sum(_comb2(a) for a in t.row_sums)
-    sum_cols = sum(_comb2(b) for b in t.col_sums)
-    return index, sum_rows, sum_cols
+    """Pairs of points sharing a cell, a class and a cluster, as Python
+    integers, so no count overflows or rounds."""
+    return tuple(sum(x * (x - 1) // 2 for x in a.tolist())
+                 for a in (t.counts.ravel(), t.row_sums, t.col_sums))
 
 
 def ari(t: ContingencyTable) -> float:
     """Adjusted Rand index under the permutation null model."""
     index, sum_rows, sum_cols = _pair_counts(t)
-    total = _comb2(t.n)
-    if total == 0:
-        return 1.0 if _identical_partitions(t) else 0.0
-    expected = sum_rows * sum_cols / total
+    total = t.n * (t.n - 1) // 2
+    expected = sum_rows * sum_cols / total if total else 0.0
     maximum = (sum_rows + sum_cols) / 2.0
     denom = maximum - expected
     if denom == 0.0:
-        return 1.0 if _identical_partitions(t) else 0.0
+        return _degenerate(t)
     return (index - expected) / denom
 
 
@@ -102,16 +104,11 @@ def _entropy(sums: np.ndarray, n: int) -> float:
 
 
 def _mutual_information(t: ContingencyTable) -> float:
+    """Mutual information: one term per nonzero cell, in row-major order."""
     n = t.n
-    a = t.row_sums
-    b = t.col_sums
-    mi = 0.0
-    for i in range(t.counts.shape[0]):
-        for j in range(t.counts.shape[1]):
-            nij = t.counts[i, j]
-            if nij > 0:
-                mi += (nij / n) * np.log(n * nij / (a[i] * b[j]))
-    return float(mi)
+    rows, cols = np.nonzero(t.counts)
+    nij = t.counts[rows, cols]
+    return _in_order_sum((nij / n) * np.log(n * nij / (t.row_sums[rows] * t.col_sums[cols])))
 
 
 def nmi(t: ContingencyTable) -> float:
@@ -120,7 +117,7 @@ def nmi(t: ContingencyTable) -> float:
     hv = _entropy(t.col_sums, t.n)
     denom = np.sqrt(hu * hv)
     if denom == 0.0:
-        return 1.0 if _identical_partitions(t) else 0.0
+        return _degenerate(t)
     return float(min(max(_mutual_information(t) / denom, 0.0), 1.0))
 
 
@@ -130,8 +127,7 @@ def _expected_mutual_information(t: ContingencyTable) -> float:
     ``lg[x]`` is ``gammaln(x)``.  The terms of every (row, column) pair are
     one array, in the order of the scalar triple loop (rows, then columns,
     then ``nij`` ascending), each computed with the operands in that loop's
-    order; ``np.cumsum`` adds them to 0.0 one at a time, in order, so the
-    result keeps the loop's bits (``np.sum`` would add them pairwise).
+    order, and added in that order.
     """
     n = t.n
     lg = gammaln(np.arange(n + 2.0))
@@ -148,8 +144,7 @@ def _expected_mutual_information(t: ContingencyTable) -> float:
         - lg[bj - nij + 1]
         - lg[n - ai - bj + nij + 1]
     )
-    term = (nij / n) * (np.log(n * nij) - np.log(ai * bj)) * np.exp(log_prob)
-    return float(np.cumsum(np.concatenate(([0.0], term)))[-1])
+    return _in_order_sum((nij / n) * (np.log(n * nij) - np.log(ai * bj)) * np.exp(log_prob))
 
 
 def ami(t: ContingencyTable) -> float:
@@ -160,7 +155,7 @@ def ami(t: ContingencyTable) -> float:
     emi = _expected_mutual_information(t)
     denom = 0.5 * (hu + hv) - emi
     if denom == 0.0:
-        return 1.0 if _identical_partitions(t) else 0.0
+        return _degenerate(t)
     return float(min((mi - emi) / denom, 1.0))
 
 
@@ -169,17 +164,15 @@ def fmi(t: ContingencyTable) -> float:
     index, sum_rows, sum_cols = _pair_counts(t)
     denom = math.sqrt(sum_rows * sum_cols)  # exact integer product, one rounding
     if denom == 0.0:
-        return 1.0 if _identical_partitions(t) else 0.0
+        return _degenerate(t)
     return float(min(index / denom, 1.0))
 
 
+_INDICES = (acc, ami, ari, nmi, fmi)  # in the order reports list them
+INDICES = tuple(index.__name__ for index in _INDICES)  # the keys of score_all
+
+
 def score_all(truth, pred) -> dict[str, float]:
-    """All five indices for one labeling pair."""
+    """All five indices for one labeling pair, keyed and ordered as :data:`INDICES`."""
     t = contingency(truth, pred)
-    return {
-        "acc": acc(t),
-        "ami": ami(t),
-        "ari": ari(t),
-        "nmi": nmi(t),
-        "fmi": fmi(t),
-    }
+    return {index.__name__: index(t) for index in _INDICES}

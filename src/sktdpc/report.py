@@ -8,6 +8,7 @@ can mask timing noise by dropping that section.
 from __future__ import annotations
 
 from .core import ClusteringResult
+from .metrics import INDICES
 
 
 def _head(dataset: str, algorithm: str, params: dict, n: int, dim: int,
@@ -40,7 +41,7 @@ def to_text(result: ClusteringResult, scores: dict[str, float] | None,
         f"flags = {' '.join(result.flags)}",
     ]
     if scores is not None:
-        lines += [f"{key} = {scores[key]:.6f}" for key in ("acc", "ami", "ari", "nmi", "fmi")]
+        lines += [f"{key} = {scores[key]:.6f}" for key in INDICES]
     timings = dict(result.timings)
     if repeat_times:
         timings["mean_run"] = sum(repeat_times) / len(repeat_times)

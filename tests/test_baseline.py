@@ -112,6 +112,11 @@ def test_dpc_rejects_dc_that_is_not_positive_and_finite(dc):
         dpc_original(d, dc=dc, n_centers=1)
 
 
+def test_cutoff_distance_needs_two_points():
+    with pytest.raises(ValueError, match="need at least two points"):
+        cutoff_distance(full_matrix(Dataset(np.array([[1.0, 2.0]]))), 2.0)
+
+
 def test_cutoff_distance_percentile():
     d = Dataset(np.array([[0.0], [1.0], [3.0]]))
     m = full_matrix(d)

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from sktdpc import core, registry, report
+import numpy as np
+
+from sktdpc import core, plots, registry, report
 from sktdpc.cli import main
 from sktdpc.dataset import save
 
@@ -113,6 +115,11 @@ def test_sweep_iris_normalized_best_row(tmp_path):
     assert max(accs) >= 0.94
 
 
+def test_sweep_rejects_an_empty_k_range(capsys):
+    assert main(["sweep", "flame", "--k-min", "5", "--k-max", "3"]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= k-min <= k-max\n"
+
+
 def test_plot_gamma_marks_mutation_point(tmp_path):
     out = tmp_path / "gamma.svg"
     rc = main(["plot", "gamma", "ss2", "--k", "5", "--output", str(out)])
@@ -147,6 +154,24 @@ def test_plot_scatter_rejects_high_dim(tmp_path, capsys):
     out = tmp_path / "bad.svg"
     rc = main(["plot", "scatter", "iris", "--k", "3", "--output", str(out)])
     assert rc == 2
+
+
+def test_scatter_svg_rejects_points_that_are_not_2d():
+    with pytest.raises(ValueError, match="scatter plots need 2-D points"):
+        plots.scatter_svg(np.zeros((4, 3)))
+
+
+def test_scatter_svg_maps_a_zero_span_axis_to_its_low_edge():
+    """Points on one vertical line: the x axis has no span, and every point
+    is drawn at the plot's left edge, not at a division by zero."""
+    svg = plots.scatter_svg(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]), np.array([0, 0, 1]))
+    xs = [line.split('cx="')[1].split('"')[0] for line in svg.splitlines() if "<circle" in line]
+    assert xs == [f"{plots.MARGIN:.2f}"] * 3
+
+
+def test_parse_text_skips_blank_lines():
+    text = "\n[run]\n\ndataset = flame\n  \n[timings]\n\ntime_knn = 0.5\n\n"
+    assert report.parse_text(text) == [{"run": {"dataset": "flame"}, "timings": {"time_knn": "0.5"}}]
 
 
 def test_bench_builtin_suite_deterministic_reports(tmp_path):
@@ -248,6 +273,26 @@ def test_bench_suite_of_non_objects_exit_2(tmp_path, capsys):
     suite.write_text('["flame"]')
     assert main(["bench", "--suite", str(suite)]) == 2
     assert "JSON list of run cells" in capsys.readouterr().err
+
+
+def test_bench_without_output_writes_the_report_to_stdout(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text('[{"dataset": "flame", "k": 3}]')
+    assert main(["bench", "--suite", str(suite)]) == 0
+    runs = report.parse_text(capsys.readouterr().out)
+    assert [(r["run"]["dataset"], r["run"]["acc"]) for r in runs] == [("flame", "1.000000")]
+
+
+def test_bench_records_cells_without_k_or_with_an_unknown_algorithm(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text('[{"dataset": "flame", "algorithm": "reference"},'
+                     ' {"dataset": "flame", "algorithm": "kmeans", "k": 3}]')
+    out = tmp_path / "rep.txt"
+    assert main(["bench", "--suite", str(suite), "--output", str(out)]) == 1
+    errors = [r["run"]["error"] for r in report.parse_text(out.read_text())]
+    assert errors == ["ValueError: k is required for the reference algorithm",
+                      "ValueError: unknown algorithm 'kmeans'"]
+    assert capsys.readouterr().err.count("FAILED flame/") == 2
 
 
 def test_bench_repeat_times_recorded(tmp_path):

@@ -63,6 +63,19 @@ def test_local_density_bits_equal_the_scalar_loop(k):
     assert np.isinf(density[::50]).all()
 
 
+def test_descending_order_equals_the_two_key_sort():
+    """One stable sort of the negated values gives the permutation of
+    ``np.lexsort((arange(n), -values))`` that it replaced, on arrays of
+    ties, NaN, signed zeros and infinities."""
+    rng = np.random.default_rng(3)
+    pool = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 2.5, 1e-300])
+    for _ in range(3000):
+        n = int(rng.integers(0, 40))
+        values = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.normal(size=n).round(1))
+        want = np.lexsort((np.arange(n), -values))
+        assert core._descending_order(values).tolist() == want.tolist(), values
+
+
 def test_local_density_against_brute_force(two_blobs):
     tree = build(two_blobs)
     sets, _ = knn_all(tree, 6)

@@ -114,6 +114,49 @@ def test_dataset_rejects_nan():
         Dataset(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("points", [[1.0, 2.0], [[[1.0]]], np.zeros((0, 2)), np.zeros((2, 0))],
+                         ids=["1-D", "3-D", "no-points", "no-features"])
+def test_dataset_rejects_points_that_are_not_a_non_empty_matrix(points):
+    with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+        Dataset(np.array(points))
+
+
+def test_dataset_rejects_a_labels_length_mismatch():
+    with pytest.raises(ValueError, match="does not match point count 3"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1]))
+
+
+def test_load_rejects_an_unknown_delimiter(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("1.0,2.0\n")
+    with pytest.raises(ValueError, match="unknown delimiter mode 'tab'"):
+        load(p, delimiter="tab")
+
+
+def test_load_rejects_a_file_whose_only_column_is_the_label(tmp_path):
+    p = tmp_path / "labels-only.csv"
+    p.write_text("a\nb\n")
+    with pytest.raises(ParseError, match="line 1: no feature columns"):
+        load(p, label_column=0)
+
+
+def test_load_rejects_a_label_column_out_of_range(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    with pytest.raises(ParseError, match="line 1: label column 3 out of range"):
+        load(p, label_column=3)
+
+
+def test_normalize_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown normalize mode 'z-score'"):
+        normalize(Dataset(np.eye(2)), "z-score")
+
+
+def test_load_named_rejects_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown dataset 'no-such-dataset'"):
+        registry.load_named("no-such-dataset")
+
+
 def test_normalize_affine_map():
     d = Dataset(np.array([[0.0], [5.0], [10.0]]))
     out = normalize(d, "min-max")
@@ -174,6 +217,13 @@ def test_pca_rank_one_data():
     orig = np.abs(np.sqrt(5.0) * (x - x[:, None]))
     proj = np.abs(out.points[:, 0] - out.points[:, 0][:, None])
     assert np.allclose(proj, orig, rtol=1e-12, atol=1e-12)
+
+
+def test_pca_of_one_point_is_the_origin():
+    """One point has no sample covariance; it is centred onto the origin."""
+    out = pca_reduce(Dataset(np.array([[3.0, -1.0, 2.0]]), name="one"), 2)
+    assert out.points.tolist() == [[0.0, 0.0]]
+    assert out.name == "one-pca2"
 
 
 def test_pca_out_of_range():

@@ -907,6 +907,12 @@ def test_kernel_build_without_a_compiler_is_an_import_error(tmp_path, monkeypatc
     assert list((tmp_path / "cache").iterdir()) == []  # no partial library left
 
 
+def test_kernel_build_that_cc_rejects_is_an_import_error_with_its_stderr(tmp_path):
+    with pytest.raises(ImportError, match=r"(?s)could not build the k-d tree kernel:\n.*--no-such-flag"):
+        kdtree._load_kernel(tmp_path, ("-O2", "--no-such-flag"))
+    assert list(tmp_path.iterdir()) == []  # no partial library left
+
+
 def test_subnormals_survive_loading_the_kernel():
     """A library built with -ffast-math links crtfastmath, which turns on
     flush-to-zero and denormals-are-zero for the whole process when it is
@@ -1478,3 +1484,35 @@ def test_nearest_denser_all_rejects_a_target_outside_the_points(target):
     ledger = SparseDistanceMatrix(d.points)
     with pytest.raises(IndexError, match=r"\[0, 64\)"):
         nearest_denser_all(build(d), np.array([3, target]), np.arange(d.n), ledger)
+
+
+@pytest.mark.parametrize(
+    "targets, rank",
+    [
+        (np.array([4.7, 9.2]), None),  # would answer for points 4 and 9
+        (np.array([True, False]), None),  # would answer for points 1 and 0
+        (np.array([4, 9]), np.arange(64) + 0.5),  # every rank would be truncated
+        (np.array([4, 9]), np.arange(64) % 2 == 0),
+    ],
+    ids=["float-targets", "bool-targets", "float-rank", "bool-rank"],
+)
+def test_nearest_denser_all_rejects_indices_that_are_not_integers(targets, rank):
+    """A float or bool target or rank is refused, not cast to int64, as
+    ``SparseDistanceMatrix.distances`` refuses such indices."""
+    d = _lattice()
+    rank = np.arange(d.n)[::-1].copy() if rank is None else rank
+    ledger = SparseDistanceMatrix(d.points)
+    name = "targets" if rank.dtype == np.int64 else "rank"
+    with pytest.raises(TypeError, match=f"{name} must be integers"):
+        nearest_denser_all(build(d), targets, rank, ledger)
+    assert ledger.evaluations == 0
+
+
+def test_knn_search_accepts_every_integer_dtype_of_targets():
+    tree = build(_lattice())
+    want = kdtree._knn(tree, np.array([4, 9]), 3)
+    for dtype in (np.int32, np.uint8, np.uint64):
+        got = kdtree._knn(tree, np.array([4, 9], dtype=dtype), 3)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), dtype
+    with pytest.raises(TypeError, match="targets must be integers"):
+        kdtree._knn(tree, np.array([4.0, 9.0]), 3)

@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from sktdpc import normalize, registry, run_sktdpc
 from sktdpc.metrics import (
+    INDICES,
     ContingencyTable,
     _expected_mutual_information,
+    _mutual_information,
+    _pair_counts,
     acc,
     ami,
     ari,
@@ -200,3 +204,110 @@ def test_expected_mutual_information_equals_scalar_loop():
     for counts in _emi_tables():
         t = ContingencyTable(np.array(counts))
         assert _expected_mutual_information(t) == reference_expected_mutual_information(t), counts
+
+
+def reference_mutual_information(t):
+    """The nested loop over the table's cells the in-order array sum
+    replaced, kept as its oracle: terms in row-major order, added to 0.0."""
+    n = t.n
+    a = t.row_sums
+    b = t.col_sums
+    mi = 0.0
+    for i in range(t.counts.shape[0]):
+        for j in range(t.counts.shape[1]):
+            nij = t.counts[i, j]
+            if nij > 0:
+                mi += (nij / n) * np.log(n * nij / (a[i] * b[j]))
+    return float(mi)
+
+
+def _comb2(x) -> int:
+    x = int(x)
+    return x * (x - 1) // 2
+
+
+def reference_pair_counts(t):
+    """The pair count per numpy scalar the ``.tolist()`` sums replaced."""
+    return (
+        sum(_comb2(v) for v in t.counts.ravel()),
+        sum(_comb2(a) for a in t.row_sums),
+        sum(_comb2(b) for b in t.col_sums),
+    )
+
+
+DEGENERATE_TABLES = {
+    "n = 1": [[1]],
+    "one class": [[5, 0, 3]],
+    "one cluster": [[4], [2], [7]],
+    "identical partitions": [[0, 3, 0], [2, 0, 0], [0, 0, 1]],
+    "one class, one cluster": [[6]],
+}
+
+
+def _sweep_bundled_pairs():
+    """(truth, labels) of every bundled fixture at k = 2..10 with its class
+    count as the center count, min-max normalised: the scored cells of the
+    benchmark's ``sweep-bundled`` workload."""
+    pairs = []
+    for name, info in registry.REGISTRY.items():
+        if info.bundled_file:
+            raw = registry.load_named(name)
+            data = normalize(raw, "min-max")
+            pairs += [(raw.labels, run_sktdpc(data, k, n_centers=info.clusters).labels)
+                      for k in range(2, 11)]
+    return pairs
+
+
+def _oracle_tables():
+    return ([ContingencyTable(np.array(c)) for c in _emi_tables()]
+            + [ContingencyTable(np.array(c)) for c in DEGENERATE_TABLES.values()]
+            + [contingency(truth, pred) for truth, pred in _sweep_bundled_pairs()])
+
+
+def test_mutual_information_and_pair_counts_equal_the_scalar_loops():
+    tables = _oracle_tables()
+    assert len(tables) == 105 + 5 + 63
+    for t in tables:
+        assert _mutual_information(t) == reference_mutual_information(t), t.counts
+        assert _pair_counts(t) == reference_pair_counts(t), t.counts
+        assert all(type(c) is int for c in _pair_counts(t))
+
+
+@pytest.mark.parametrize("name", DEGENERATE_TABLES)
+def test_degenerate_tables_score_one_only_for_identical_partitions(name):
+    t = ContingencyTable(np.array(DEGENERATE_TABLES[name]))
+    if name in ("one class", "one cluster"):  # one entropy is 0, and the pair counts are not
+        assert nmi(t) == 0.0 and ari(t) == 0.0 and 0.0 < fmi(t) < 1.0
+    else:
+        assert ari(t) == nmi(t) == ami(t) == fmi(t) == 1.0
+    assert _expected_mutual_information(t) == reference_expected_mutual_information(t)
+
+
+def test_ari_at_one_point_is_one():
+    assert ari(ContingencyTable(np.array([[1]]))) == 1.0
+    assert ari(contingency([7], [3])) == 1.0
+
+
+@pytest.mark.parametrize("counts", [np.zeros((0, 2)), np.zeros((2, 0)), [[]], [1, 2]])
+def test_contingency_table_rejects_an_empty_or_flat_table(counts):
+    with pytest.raises(ValueError, match="non-empty 2-D"):
+        ContingencyTable(np.array(counts))
+
+
+def test_contingency_table_rejects_negative_counts():
+    with pytest.raises(ValueError, match="non-negative"):
+        ContingencyTable(np.array([[3, -1], [0, 2]]))
+
+
+def test_contingency_table_sums_are_computed_once_and_read_only():
+    t = ContingencyTable(np.array([[3, 1], [0, 2]]))
+    assert t.row_sums.tolist() == [4, 2] and t.col_sums.tolist() == [3, 3] and t.n == 6
+    assert t.row_sums is t.row_sums and type(t.n) is int
+    for array in (t.counts, t.row_sums, t.col_sums):
+        with pytest.raises(ValueError):
+            array[0] = 9
+
+
+def test_score_all_keys_are_the_indices_in_report_order():
+    assert INDICES == ("acc", "ami", "ari", "nmi", "fmi")
+    assert tuple(score_all([0, 0, 1], [1, 1, 1])) == INDICES
