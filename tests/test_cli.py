@@ -227,8 +227,8 @@ def test_bench_custom_suite_and_failure_recording(tmp_path, capsys):
         "center_indices = 229 72\n"
         "mutation_point = 2\n"
         "candidates = 2\n"
-        "distance_evaluations = 2044\n"
-        "distance_ratio = 0.071269\n"
+        "distance_evaluations = 1976\n"
+        "distance_ratio = 0.068898\n"
         "flags = \n"
         "acc = 1.000000\n"
         "ami = 1.000000\n"

@@ -479,7 +479,7 @@ def _far_gaps(gaps, dim, diff):
     return gaps[:dim] + [diff * diff] + gaps[dim + 1 :]
 
 
-def reference_knn_query(tree, target, k, cache, rule="cell"):
+def reference_knn_query(tree, target, k, cache, rule="cell", row=(), offer=None):
     """The recursive depth-first search, kept as the oracle of the k-NN
     kernel, which runs it with an explicit stack: near child first.  A
     subtree's cell carries the squared gaps from the target to it, one a
@@ -500,7 +500,12 @@ def reference_knn_query(tree, target, k, cache, rule="cell"):
     ``rule="plane"`` gives the plane-reach rule, ``sqrt(diff * diff)``, and
     ``rule="plain"`` plain hyperplane pruning, which evaluates every
     visited node's point, deferred or not, and bounds the far subtree by
-    ``|diff|``; both are kept as superset checks."""
+    ``|diff|``; both are kept as superset checks.
+
+    ``row`` holds the (distance, index) candidates earlier queries offered
+    (see :func:`reference_knn_all`): the search starts from them as kept
+    candidates and skips their points as it skips the target's, and
+    ``offer(idx, d)``, when given, hears every pair it evaluates."""
     point, split_dim, left, right = (
         a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
     )
@@ -509,13 +514,17 @@ def reference_knn_query(tree, target, k, cache, rule="cell"):
     plain = rule == "plain"
     # Max-heap of the best k candidates: heap root is the worst kept
     # (largest distance, then largest index), as (-distance, -index).
-    heap = []
+    heap = [(-d, -i) for d, i in row]
+    heapq.heapify(heap)
+    skipped = {target, *(i for _, i in row)}
 
     def within(reach):
         return len(heap) < k or reach <= -heap[0][0]
 
     def evaluate(idx):
         d = cache.distance(target, idx)
+        if offer is not None:
+            offer(idx, d)
         if len(heap) < k:
             heapq.heappush(heap, (-d, -idx))
         else:
@@ -526,13 +535,13 @@ def reference_knn_query(tree, target, k, cache, rule="cell"):
     def search(v, gaps):
         idx, dim = point[v], split_dim[v]
         if dim < 0:
-            if idx != target:
+            if idx not in skipped:
                 evaluate(idx)
             return
         diff = coords[dim] - split_value[v]
         reach = _far_bound(rule, gaps, dim, diff)
-        deferred = idx != target and len(heap) < k
-        if idx != target and not deferred and (plain or within(reach)):
+        deferred = idx not in skipped and len(heap) < k
+        if idx not in skipped and not deferred and (plain or within(reach)):
             evaluate(idx)
         if diff <= 0.0:
             near, far = left[v], right[v]
@@ -618,16 +627,41 @@ def reference_nearest_denser(tree, targets, rank, cache, rule="cell"):
     return out
 
 
+def reference_knn_all(tree, k, cache):
+    """The all-queries oracle of the k-NN kernel, around
+    :func:`reference_knn_query`: the (indices, distances) row of every
+    point, in point order.  The queries run in tree preorder, and each
+    point's row is carried from query to query: a pair a query evaluates is
+    offered to the other point's row when that point's query comes later,
+    and kept there if it is among that row's k best by (distance, index).
+    A query starts from its row and skips the points it holds."""
+    n = tree.dataset.n
+    node = {p: v for v, p in enumerate(tree.point.tolist())}
+    rows = [[] for _ in range(n)]  # by point: the (distance, index) pairs offered
+    out = [None] * n
+    for v, t in enumerate(tree.point.tolist()):
+
+        def offer(j, d):
+            if node[j] > v:
+                rows[j] = sorted([*rows[j], (d, t)])[:k]
+
+        out[t] = reference_knn_query(tree, t, k, cache, row=rows[t], offer=offer)
+    return out
+
+
 def _assert_knn_all_equals_reference(d, k):
-    """Neighbors (distance bits included), evaluated pair set, evaluation
-    count and read-back distance bits of ``knn_all`` equal the recursive
-    search's."""
+    """Neighbors (distance bits included), the keys written, repeats
+    included, the evaluated pair set and count, and the read-back distance
+    bits of ``knn_all`` equal those of the seeded all-queries oracle,
+    :func:`reference_knn_all`."""
     tree = build(d)
     neighbors, cache = knn_all(tree, k)
-    ref_cache = SparseDistanceMatrix(d.points)
-    want = [reference_knn_query(tree, i, k, ref_cache) for i in range(d.n)]
+    log = _CallLog(d.points)
+    want = reference_knn_all(tree, k, log)
+    ref_cache = log.ledger
     assert neighbors.indices.tolist() == [indices for indices, _ in want]
     assert neighbors.distances.tobytes() == np.array([row for _, row in want]).tobytes()
+    assert cache._block.tolist() == sorted(min(i, j) * d.n + max(i, j) for i, j, _ in log.calls)
     assert cache.pairs() == ref_cache.pairs()
     assert cache.evaluations == ref_cache.evaluations == len(cache)
     for i, j in ref_cache.pairs():
@@ -656,10 +690,14 @@ def test_knn_all_equals_reference_search(make, k):
 def test_knn_all_equals_reference_search_as_keys_grow_and_resume(monkeypatch):
     """With the key buffer grown only to room for one more query, the
     kernel stops before every query but the first, and each resumes where
-    the last stopped, with its keys after those already written."""
+    the last stopped, with its keys after those already written and its
+    row as the earlier queries seeded it: fewer keys are written than the
+    queries write one at a time, unseeded."""
     grid = np.stack(np.meshgrid(np.arange(11), np.arange(10), np.arange(10)), -1)
     points = grid.reshape(-1, 3).astype(float)
     d = Dataset(points[np.random.default_rng(11).permutation(len(points))])
+    tree = build(d)
+    unseeded = sum(len(kdtree._knn(tree, np.array([i]), 7)[2]) for i in range(d.n))
     calls = []
 
     def one_query(n_keys, done, m, n):
@@ -669,18 +707,23 @@ def test_knn_all_equals_reference_search_as_keys_grow_and_resume(monkeypatch):
     monkeypatch.setattr(kdtree, "_key_capacity", one_query)
     _assert_knn_all_equals_reference(d, 7)
     assert calls == list(range(d.n))
+    calls.clear()
+    assert len(kdtree._knn(tree, tree.point, 7)[2]) < unseeded
+    assert calls == list(range(d.n))
 
 
 def test_knn_all_equals_reference_search_when_the_key_buffer_fills_exactly(monkeypatch):
     """A query evaluates each other point at most once, so n - 1 free key
-    slots are room enough.  At k = n - 1 every query evaluates all n - 1:
-    with the buffer grown to exactly that room, each query fills it to its
-    last slot and the kernel stops before the next."""
+    slots are room enough.  At k = n - 1 the first query evaluates all
+    n - 1: with the buffer grown to exactly that room, it fills it to its
+    last slot.  Every earlier query offered its pair to each later row, so
+    query q starts with q points kept, which it skips: it writes n - 1 - q
+    keys, the kernel stops before the next, and each pair is written once."""
     d = random_dataset(4, n=40, dim=2)
     calls = []
 
     def exact_room(n_keys, done, m, n):
-        assert n_keys == done * (n - 1)  # the buffer was full
+        assert n_keys == sum(n - 1 - q for q in range(done))  # the seeded rows survived
         if calls and calls[-1] == done:
             raise AssertionError(f"the kernel stopped before query {done} with n - 1 free slots")
         calls.append(done)
@@ -824,9 +867,10 @@ def test_a_point_at_a_cell_corner_at_exactly_the_best_is_evaluated_by_the_rank_f
 def test_knn_pairs_per_point_stay_flat_in_n():
     """k-NN pairs per point (distinct pairs over n) on uniform 2-D points
     at k = 7: each query defers the points near the root until it keeps k
-    neighbours, so it evaluates O(1) points, about 13.4 (15.1 under the
-    plane bound alone), at any n.  Without the deferral they grew with
-    log n, from 20.6 at n = 5000 to 22.8 at 20000 and 25.1 at 100000."""
+    neighbours, so it evaluates O(1) points, about 12.2 (13.4 with no row
+    seeded by earlier queries, 15.1 also under the plane bound alone), at
+    any n.  Without the deferral they grew with log n, from 20.6 at
+    n = 5000 to 22.8 at 20000 and 25.1 at 100000."""
     per_point = {}
     for n in (5000, 20_000, 100_000):
         d = Dataset(np.random.default_rng(0).random((n, 2)))
@@ -835,11 +879,26 @@ def test_knn_pairs_per_point_stay_flat_in_n():
     assert all(abs(p / per_point[5000] - 1) <= 0.05 for p in per_point.values()), per_point
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_knn_writes_each_pair_about_once(seed):
+    """Uniform 2-D points, n = 20000, k = 7: each pair a query evaluates is
+    offered to the other point's row when its query comes later, and that
+    query skips the points its row holds, so a pair is written twice only
+    when the offer did not stay among the k best.  Keys written are at
+    most 1.1 times the distinct pairs (1.08 here; 1.58 unseeded), and the
+    seeded rows' bounds prune from the first pop, so the distinct pairs are
+    at most 12.7 a point (12.3; 13.45 unseeded)."""
+    d = Dataset(np.random.default_rng(seed).random((20_000, 2)))
+    _, cache = knn_all(build(d), 7)
+    assert len(cache._block) <= 1.1 * cache.evaluations
+    assert cache.evaluations <= 12.7 * d.n
+
+
 def test_knn_evaluates_under_two_fifths_of_the_pairs_in_8d():
     """k-NN pairs on uniform 8-D points at k = 7, n = 2000, as a share of
     all n(n - 1)/2: the cell bound sums the gaps to a far subtree's whole
     cell, so it prunes in 8-D, where the plane alone evaluates 85 %; about
-    33 % here."""
+    31 % here (33 % with no row seeded by earlier queries)."""
     n = 2000
     d = Dataset(np.random.default_rng(0).random((n, 8)))
     share = knn_all(build(d), 7)[1].evaluations / (n * (n - 1) / 2)
@@ -872,6 +931,19 @@ def test_kernel_equals_brute_force_at_its_bounds(n, dim, k):
     want = np.argsort(m, axis=1, kind="stable")[:, 0]
     assert got_j.tolist() == np.where(want < n, want, -1).tolist()
     assert got_d.tobytes() == m[np.arange(len(targets)), want].tobytes()
+
+
+def test_knn_rows_equal_brute_force_for_any_targets():
+    """A query offers its pairs to the rows of later targets, whatever
+    their order: on shuffled targets with repeats and points left out,
+    every row equals the full matrix's, distance bits included."""
+    d = random_dataset(9, n=300, dim=3)
+    want = brute_knn_all(full_matrix(d), 5)
+    targets = np.random.default_rng(9).choice(d.n, 400)
+    assert len(set(targets.tolist())) < min(len(targets), d.n)
+    indices, distances, _ = kdtree._knn(build(d), targets, 5)
+    assert indices.tolist() == want.indices[targets].tolist()
+    assert distances.tobytes() == want.distances[targets].tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1006,10 +1078,12 @@ def test_cache_rejects_keys_outside_the_pair_range(key):
 
 
 def test_knn_all_ledger_keys_are_int32_on_small_input(two_blobs):
-    _, _, keys = kdtree._knn(build(two_blobs), np.arange(two_blobs.n), 4)
+    tree = build(two_blobs)
+    _, _, keys = kdtree._knn(tree, tree.point, 4)  # the call knn_all makes
     assert keys.dtype == np.int32
-    _, cache = knn_all(build(two_blobs), 4)
+    _, cache = knn_all(tree, 4)
     assert cache._block.dtype == np.int32
+    assert cache._block.tolist() == sorted(keys.tolist())
     lo, hi = np.divmod(keys, two_blobs.n)
     assert cache.pairs() == set(zip(lo.tolist(), hi.tolist()))
 
@@ -1106,6 +1180,35 @@ def test_cache_distances_equal_repeated_distance(two_blobs, i):
     assert caches[0].distances(i, js[:0]).shape == (0,)
     assert caches[0].distances(i, js).tobytes() == got.tobytes()  # all stored now
     assert caches[0].evaluations == caches[1].evaluations
+
+
+@pytest.mark.parametrize("i", [0, 17, 299])
+def test_cache_distances_in_any_order_record_the_same_pairs(two_blobs, i):
+    """All of point i's pairs in index order (the densest point's scan) are
+    strictly increasing keys, which skip the sort that shuffled or repeated
+    ones take: every order gives the same distances, pairs and count, with
+    and without scalar keys pending."""
+    tree = build(two_blobs)
+    js = np.flatnonzero(np.arange(two_blobs.n) != i)
+    rng = np.random.default_rng(i)
+    orders = [js, rng.permutation(js), np.repeat(js, 2), np.concatenate((js[::-1], js[:50]))]
+    for pending in ([], [(5, 9), (9, 5), (i, (i + 3) % two_blobs.n)]):
+        caches = []
+        for order in orders:
+            cache = knn_all(tree, 4)[1]
+            bulk = cache.pairs()
+            for a, b in pending:
+                cache.distance(a, b)
+            got = cache.distances(i, order)
+            assert dict(zip(order.tolist(), got.tolist())) == {
+                j: cache.get(i, j) for j in js.tolist()
+            }
+            caches.append(cache)
+        want = bulk | {(min(a, b), max(a, b)) for a, b in pending}
+        want |= {(min(i, j), max(i, j)) for j in js.tolist()}
+        for cache in caches:
+            assert cache.pairs() == want
+            assert cache.evaluations == len(want) == len(cache)
 
 
 
