@@ -48,11 +48,16 @@
    offered distance has the bits that row's query would compute; a seeded
    row holds true distances, so its k-th best bounds the search from the
    first pop and the answer stays exact.  On uniform 2-D points at k = 7 a
-   distinct pair is written about 1.08 times, 1.58 unseeded.  Squares are
-   summed from 0.0 dimension by dimension, as baseline.full_matrix sums
-   them, so every distance has its bits.  Build
-   without -ffast-math, -Ofast or FMA contraction: any of them changes
-   those bits, and the build's variances too. */
+   distinct pair is written about 1.08 times, 1.58 unseeded.  Both
+   searches compute every distance they evaluate, squares summed from 0.0
+   dimension by dimension as baseline.full_matrix sums them, so every
+   distance has its bits, and write the pair's key: lo * n + hi for k-NN,
+   target first for the rank filter.  In both modes a call stops before a
+   query that might not fit in the key buffer, and the caller resumes it
+   there.  The kernel calls back into nothing; it reads and writes only the
+   arrays it is given.  Build without -ffast-math, -Ofast or FMA
+   contraction: any of them changes those bits, and the build's variances
+   too. */
 
 #include <math.h>
 #include <stdint.h>
@@ -161,8 +166,8 @@ static inline void keep(int64_t *best_i, double *best_d, int64_t k, double dist,
 
 /* One query's state: target t at x, its k best so far in best_i and
    best_d, every row in indices and distances with the rows after row
-   `after` open to its offers, and where the pairs it evaluates go (keys,
-   or the rank filter's read). */
+   `after` open to its offers, where the keys of the pairs it evaluates
+   go, and the rank filter, if any. */
 struct query {
     int64_t n, dim, k, t, after;
     const double *x;
@@ -173,36 +178,29 @@ struct query {
     int wide;
     int64_t count;
     const int64_t *rank;
-    double (*read)(int64_t, int64_t);
 };
 
-/* Evaluates node v's point j, at p, from q's target and keeps it if it is
-   among the k best by (distance, index); k-NN also offers (dist, t) to the
-   row of v's point when that row comes after row `after`.  Nonzero when
-   the read returns NaN. */
-static int evaluate(struct query *q, int64_t v, int64_t j, const double *p)
+/* Evaluates node v's point j, at p, from q's target, writes the pair's
+   key (k-NN: lo * n + hi; the rank filter: target first, t * n + j) and
+   keeps j if it is among the k best by (distance, index); k-NN also offers
+   (dist, t) to the row of v's point when that row comes after row
+   `after`. */
+static void evaluate(struct query *q, int64_t v, int64_t j, const double *p)
 {
     double dist = 0.0;
-    if (q->rank) {
-        if (isnan(dist = q->read(q->t, j)))
-            return 1;
-    } else {
-        for (int64_t d = 0; d < q->dim; d++) {
-            double e = p[d] - q->x[d];
-            dist += e * e;
-        }
-        dist = sqrt(dist);
-        int64_t key = j < q->t ? j * q->n + q->t : q->t * q->n + j;
-        if (q->wide)
-            ((int64_t *)q->keys)[q->count++] = key;
-        else
-            ((int32_t *)q->keys)[q->count++] = (int32_t)key;
-        int64_t r = q->row[v];
-        if (r > q->after)
-            keep(q->indices + r * q->k, q->distances + r * q->k, q->k, dist, q->t);
+    for (int64_t d = 0; d < q->dim; d++) {
+        double e = p[d] - q->x[d];
+        dist += e * e;
     }
+    dist = sqrt(dist);
+    int64_t key = j < q->t && !q->rank ? j * q->n + q->t : q->t * q->n + j;
+    if (q->wide)
+        ((int64_t *)q->keys)[q->count++] = key;
+    else
+        ((int32_t *)q->keys)[q->count++] = (int32_t)key;
+    if (!q->rank && q->row[v] > q->after)
+        keep(q->indices + q->row[v] * q->k, q->distances + q->row[v] * q->k, q->k, dist, q->t);
     keep(q->best_i, q->best_d, q->k, dist, j);
-    return 0;
 }
 
 /* Searches targets[done], targets[done + 1], ... and returns the position
@@ -219,7 +217,7 @@ static int evaluate(struct query *q, int64_t v, int64_t j, const double *p)
    with (inf, n) before the first call, and unfilled columns stay so.  The
    key lo * n + hi of every pair evaluated is appended to keys, int64 when
    wide, else int32, at slot *n_keys, which ends past the last one
-   written.
+   written; the rank filter writes t * n + j instead, target first.
    For k-NN, row[v] is the row of node v's point (-1: none), node[j] is
    point j's node, and stamp holds n int64s, none yet equal to a query's
    position, kept by the caller across calls.  When query q evaluates node
@@ -229,12 +227,11 @@ static int evaluate(struct query *q, int64_t v, int64_t j, const double *p)
    query q stamps with q the nodes of the points its row holds, and it
    skips a stamped node: it neither evaluates that point again nor writes
    a second key for it.
-   The rank filter (rank, min_rank, read) is NULL for k-NN, and with it
-   row, node and stamp are unused.  With it, node v is skipped when
+   The rank filter (rank, min_rank) is NULL for k-NN, and with it row,
+   node and stamp are unused.  With it, node v is skipped when
    min_rank[v], the smallest rank in its subtree, is not below rank[t];
-   only points of smaller rank are evaluated or deferred, each evaluated by
-   read(t, j), nothing is offered to another row, no key is written and
-   capacity is not checked; a NaN read returns -1 at once. */
+   only points of smaller rank are evaluated or deferred, and nothing is
+   offered to another row.  Both modes check capacity alike. */
 int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                    const int64_t *point, const int64_t *split_dim,
                    const int64_t *left, const int64_t *right,
@@ -242,8 +239,7 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                    int64_t done, int64_t *indices, double *distances,
                    const int64_t *row, const int64_t *node, int64_t *stamp,
                    void *keys, int wide, int64_t capacity, int64_t *n_keys,
-                   const int64_t *rank, const int64_t *min_rank,
-                   double (*read)(int64_t, int64_t), double *gap)
+                   const int64_t *rank, const int64_t *min_rank, double *gap)
 {
     /* a stack entry: its node, its bound, the trail height at its push,
        and, for a far child, the gap it sets (split dimension and square) */
@@ -254,8 +250,8 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
     int64_t trail_dim[STACK];
     double trail_gap[STACK];
     struct query q = {n, dim, k, 0, m, NULL, NULL, indices, NULL, distances, row,
-                      keys, wide, *n_keys, rank, read};
-    for (; done < m && (rank || capacity - q.count >= n - 1); done++) {
+                      keys, wide, *n_keys, rank};
+    for (; done < m && capacity - q.count >= n - 1; done++) {
         int64_t t = q.t = targets[done];
         const double *x = q.x = points + t * dim;
         int64_t *best_i = q.best_i = indices + done * k;
@@ -278,8 +274,7 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
             if (!(bound[h] <= best_d[k - 1]))
                 continue;
             if (v < 0) { /* node ~v's point, tested like a leaf's */
-                if (evaluate(&q, ~v, point[~v], coords + ~v * dim))
-                    return -1;
+                evaluate(&q, ~v, point[~v], coords + ~v * dim);
                 continue;
             }
             while (trail > mark[h]) { /* back to the gaps of v's parent */
@@ -299,8 +294,8 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                 int64_t s = split_dim[v], j = point[v];
                 int wanted = j != t && (rank ? rank[j] < rank[t] : stamp[v] != done);
                 if (s < 0) { /* a leaf has no plane */
-                    if (wanted && evaluate(&q, v, j, p))
-                        return -1;
+                    if (wanted)
+                        evaluate(&q, v, j, p);
                     break;
                 }
                 double plane = p[s] - x[s], square = plane * plane, reach = 0.0;
@@ -316,8 +311,8 @@ int64_t knn_search(int64_t n, int64_t dim, int64_t k, const double *coords,
                 }
                 int inside = reach <= best_d[k - 1];
                 int defer = wanted && best_i[k - 1] == n; /* fewer than k kept */
-                if (wanted && inside && !defer && evaluate(&q, v, j, p))
-                    return -1;
+                if (wanted && inside && !defer)
+                    evaluate(&q, v, j, p);
                 int64_t near = left[v], far = right[v];
                 if (plane < 0.0) { /* the target lies beyond the split value */
                     near = right[v];

@@ -131,7 +131,7 @@ def _run_cell(cell: dict, repeats: int, seed: int) -> str:
 
 
 def cmd_bench(args) -> int:
-    texts, failures = [], []
+    texts, failed = [], []
     for cell in _load_suite(args.suite):
         try:
             texts.append(_run_cell(cell, args.repeats, args.seed))
@@ -140,11 +140,11 @@ def cmd_bench(args) -> int:
             algorithm = str(cell.get("algorithm", DEFAULT_ALGORITHM))
             error = f"{type(exc).__name__}: {exc}"
             texts.append(report.error_text(name, algorithm, error))
-            failures.append(f"FAILED {name}/{algorithm}: {error}")
+            failed.append(f"FAILED {name}/{algorithm}: {error}")
     _write(args.output, "".join(texts))
-    for line in failures:
+    for line in failed:
         print(line, file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def cmd_sweep(args) -> int:

@@ -63,14 +63,17 @@ that downstream stages reuse.
 The nearest-denser search is the same function at k = 1 with a rank
 filter, as in the dependent-point search of Ex-DPC (Amagata & Hara, SIGMOD
 2021): it skips every subtree whose smallest rank (:func:`subtree_min_rank`)
-is not below the query's and reads each distance from the ledger.
+is not below the query's.  It computes its distances in C as k-NN does and
+writes each pair's key target first; :func:`nearest_denser_all` then
+records the pairs in the ledger one ``distance`` call each, in search
+order.  The kernel calls back into nothing, so ``ctypes`` releases the GIL
+for its whole call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import subprocess
 from pathlib import Path
@@ -154,9 +157,6 @@ def build(d: Dataset) -> KdTree:
     return KdTree(d)
 
 
-_READ = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_int64, ctypes.c_int64)
-
-
 def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=off")) -> ctypes.CDLL:
     """The k-d tree kernel ``_knn.c``, compiled by ``cc`` with ``flags``
     (beside ``-fPIC -shared``) into ``cache`` once per hash of its source
@@ -197,7 +197,7 @@ def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=of
     kernel.knn_search.argtypes = (
         [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2
         + [ctypes.c_void_p] * 6 + [ctypes.c_int, ctypes.c_int64]
-        + [ctypes.c_void_p] * 3 + [_READ, ctypes.c_void_p]
+        + [ctypes.c_void_p] * 4
     )
     return kernel
 
@@ -224,16 +224,16 @@ def _indices(name: str, values) -> np.ndarray:
 
 
 def _knn(
-    tree: KdTree, targets: np.ndarray, k: int,
-    rank: np.ndarray | None = None, cache: SparseDistanceMatrix | None = None,
+    tree: KdTree, targets: np.ndarray, k: int, rank: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact k nearest neighbors of every point in ``targets``; given
-    ``rank`` and ``cache``, only of smaller rank than the target's.
+    ``rank``, only of smaller rank than the target's.
 
     Returns ``(indices, distances, keys)``: two ``(len(targets), k)`` arrays,
     each row ascending by (distance, index), unfilled slots ``(inf, n)``,
-    and the key ``lo * n + hi`` of every pair evaluated, repeats included,
-    of dtype :func:`~sktdpc.sparse.key_dtype`.  Every row starts at
+    and the key of every pair evaluated, in search order, repeats included,
+    of dtype :func:`~sktdpc.sparse.key_dtype`: ``lo * n + hi`` for k-NN,
+    ``target * n + j`` with the rank filter.  Every row starts at
     ``(inf, n)`` before the first query.  k-NN offers each pair a query
     evaluates to the row of the other point when that point is a later
     target, and a query skips the points its row holds; the kernel's
@@ -243,9 +243,9 @@ def _knn(
     n - 1 key slots are free; the buffer then grows (:func:`_key_capacity`)
     and the kernel resumes at that query.  ``ndarray.resize`` grows the buffer
     by ``realloc``, so no second buffer is held beside it, and the last
-    resize trims it to the keys written.  The rank filter writes no key: it
-    reads each distance as ``cache.distance(target, j)``, and an exception
-    raised there stops the search and is raised here.  TypeError unless
+    resize trims it to the keys written.  The rank filter offers nothing to
+    other rows and needs no scratch; it writes and grows its keys as k-NN
+    does.  TypeError unless
     ``targets`` and ``rank`` are integers, IndexError unless every target
     lies in [0, n)."""
     # C reads each array by its address: every one is bound to a name, so it outlives the call
@@ -258,11 +258,10 @@ def _knn(
     coords = pts[tree.point]  # row v: node v's point
     indices = np.full((m, k), n, dtype=np.int64)
     distances = np.full((m, k), np.inf)
-    keys = np.empty(0 if rank is not None else _key_capacity(0, 0, m, n), dtype=key_dtype(n))
+    keys = np.empty(_key_capacity(0, 0, m, n), dtype=key_dtype(n))
     gap = np.empty(dim)  # the kernel's workspace: the gaps of the cell it is in
     n_keys = ctypes.c_int64(0)
-    rank_filter, failure = (None, None, _READ()), []  # _READ(): a NULL callback
-    seeding = (None, None, None)
+    seeding, rank_filter = (None, None, None), (None, None)
     if rank is None:
         node = np.empty(n, dtype=np.int64)
         node[tree.point] = np.arange(n)
@@ -273,15 +272,7 @@ def _knn(
     else:
         rank = _indices("rank", rank)
         min_rank = np.ascontiguousarray(subtree_min_rank(tree, rank), dtype=np.int64)
-
-        @_READ
-        def read(t, j):
-            try:
-                return cache.distance(t, j)  # looked up per call, so a swapped method counts
-            except BaseException as e:  # ctypes would print it and hand C an undefined value
-                failure.append(e)
-                return math.nan
-        rank_filter = (rank.ctypes.data, min_rank.ctypes.data, read)
+        rank_filter = (rank.ctypes.data, min_rank.ctypes.data)
     done = 0
     while True:
         done = _KERNEL.knn_search(
@@ -291,11 +282,9 @@ def _knn(
             keys.dtype == np.int64, len(keys), ctypes.byref(n_keys), *rank_filter,
             gap.ctypes.data,
         )
-        if done == m or done < 0:
+        if done == m:
             break
         keys.resize(_key_capacity(n_keys.value, done, m, n), refcheck=False)
-    if failure:
-        raise failure[0]
     keys.resize(n_keys.value, refcheck=False)
     return indices, distances, keys
 
@@ -377,7 +366,14 @@ def nearest_denser_all(
     :func:`_knn` at k = 1 with the rank filter, which also skips every
     subtree without a point of smaller rank (:func:`subtree_min_rank`), and
     defers a node's point until a point of smaller rank is found, as
-    :func:`knn_all` does; each evaluation is a ``cache.distance(target, j)``
-    call, in search order, the targets in the order given."""
-    indices, distances, _ = _knn(tree, targets, 1, rank, cache)
-    return distances.ravel(), np.where(indices < tree.dataset.n, indices, -1).ravel()  # (inf, n)
+    :func:`knn_all` does.  The kernel computes the distances; then each
+    pair it evaluated is recorded by a ``cache.distance(target, j)`` call,
+    in search order, the targets in the order given, its keys decoded by
+    ``divmod`` 1024 at a time, so no list of them all is held.  An exception
+    raised by a call propagates."""
+    indices, distances, keys = _knn(tree, targets, 1, rank)
+    n = tree.dataset.n
+    for start in range(0, len(keys), 1024):
+        for key in keys[start : start + 1024].tolist():
+            cache.distance(*divmod(key, n))  # looked up per call, so a swapped method counts
+    return distances.ravel(), np.where(indices < n, indices, -1).ravel()  # (inf, n)

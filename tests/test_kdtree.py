@@ -16,7 +16,7 @@ from sktdpc.baseline import brute_knn_all, full_matrix
 from sktdpc.dataset import Dataset, generate_gaussian_blobs
 from sktdpc import core, kdtree
 from sktdpc.kdtree import build, knn_all, nearest_denser_all, subtree_min_rank
-from sktdpc.sparse import SparseDistanceMatrix
+from sktdpc.sparse import SparseDistanceMatrix, key_dtype
 
 
 def _assert_same_neighbors(got, want):
@@ -1546,9 +1546,9 @@ def test_nearest_denser_all_makes_the_reference_calls_on_benchmark_inputs(worklo
 
 
 def test_a_failing_ledger_read_stops_the_nearest_denser_search():
-    """An exception raised by the third ledger read leaves
-    ``nearest_denser_all`` after exactly three reads; ctypes would otherwise
-    print it and hand the kernel an undefined distance."""
+    """An exception raised by the third ledger read propagates out of
+    ``nearest_denser_all`` after exactly three reads: the search has ended
+    by then, and the pairs after the failing one are not recorded."""
     d = _lattice()
     ledger = SparseDistanceMatrix(d.points)
     calls = []
@@ -1563,6 +1563,87 @@ def test_a_failing_ledger_read_stops_the_nearest_denser_search():
     with pytest.raises(LookupError, match="third read"):
         nearest_denser_all(build(d), np.arange(d.n), np.arange(d.n), ThirdReadFails())
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("make", _BUILD_CASES, ids=lambda make: make.__name__)
+def test_rank_filter_keys_are_the_reference_pairs_target_first(make):
+    """The rank filter writes the key ``t * n + j`` of each pair it
+    evaluates, target first, in the order the reference walk reads the
+    pairs, and of the dtype the ledger keys ``n`` points with."""
+    d = Dataset(make())
+    tree = build(d)
+    rank = np.random.default_rng(d.n).permutation(d.n)
+    targets = np.arange(0, d.n, -(-d.n // 200))  # at most about 200
+    want = _CallLog(d.points)
+    reference_nearest_denser(tree, targets, rank, want)
+    _, _, keys = kdtree._knn(tree, targets, 1, rank)
+    assert keys.dtype == key_dtype(d.n)
+    assert keys.tolist() == [t * d.n + j for t, j, _ in want.calls]
+
+
+def test_nearest_denser_all_with_int64_keys_equals_a_scan():
+    """Above n = 46340 a key needs int64.  On 50000 uniform 2-D points
+    under a random rank, the filtered keys of 300 targets are int64, some
+    beyond int32, and each target's answer is the (distance, index) minimum
+    of a scan of its denser points, distances summed as ``full_matrix``
+    sums them; the ledger records each pair the search evaluated."""
+    n = 50_000
+    d = Dataset(np.random.default_rng(8).random((n, 2)))
+    tree = build(d)
+    rank = np.random.default_rng(9).permutation(n)
+    targets = np.random.default_rng(10).choice(n, 300, replace=False)
+    _, _, keys = kdtree._knn(tree, targets, 1, rank)
+    assert keys.dtype == np.int64 and keys.max() >= 2**31
+    ledger = SparseDistanceMatrix(d.points)
+    got_d, got_j = nearest_denser_all(tree, targets, rank, ledger)
+    for t, dist, j in zip(targets.tolist(), got_d.tolist(), got_j.tolist()):
+        denser = np.flatnonzero(rank < rank[t])
+        if not len(denser):
+            assert (dist, j) == (math.inf, -1)
+            continue
+        square = np.zeros(len(denser))
+        for h in range(2):
+            diff = d.points[t, h] - d.points[denser, h]
+            square += diff * diff
+        scan = np.sqrt(square)
+        best = int(np.argmin(scan))  # the first minimum: ties to the lower index
+        assert (dist, j) == (scan[best], denser[best])
+    t, j = np.divmod(keys, n)
+    assert ledger.evaluations == len(np.unique(np.minimum(t, j) * n + np.maximum(t, j)))
+
+
+def test_nearest_denser_all_equals_reference_search_as_keys_grow_and_resume(monkeypatch):
+    """The rank filter checks its key capacity as k-NN does.  With the key
+    buffer grown only to room for one more query, n - 1 free slots, and the
+    targets least dense first, each query but the densest's writes a key,
+    so the kernel stops before every query but the first and resumes there,
+    its keys after those already written; the ledger calls and the results
+    stay the reference walk's.  On identical points every distance is 0, so
+    only the rank prunes, and the least dense target evaluates all n - 1
+    others: it fills the buffer to its last slot."""
+    calls = []
+
+    def one_query(n_keys, done, m, n):
+        calls.append((n_keys, done))
+        return n_keys + n - 1
+
+    monkeypatch.setattr(kdtree, "_key_capacity", one_query)
+    for d in (random_dataset(12, n=300, dim=2), Dataset(np.full((40, 2), 0.25))):
+        tree = build(d)
+        rank = np.random.default_rng(d.n).permutation(d.n)
+        targets = np.argsort(rank)[::-1].copy()  # the least dense first
+        want = _CallLog(d.points)
+        expected = reference_nearest_denser(tree, targets, rank, want)
+        written = [sum(t == x for t, _, _ in want.calls) for x in targets.tolist()]
+        assert min(written[:-1]) >= 1 and written[-1] == 0
+        calls.clear()
+        got = _CallLog(d.points)
+        got_d, got_j = nearest_denser_all(tree, targets, rank, got)
+        assert calls == [(sum(written[:q]), q) for q in range(d.n)]
+        assert got.calls == want.calls
+        assert list(zip(got_d.tolist(), got_j.tolist())) == expected
+        _assert_nearest_denser_equals_reference(d, 7)
+    assert written[0] == d.n - 1
 
 
 def test_nearest_denser_all_skips_a_subtree_by_its_min_rank(monkeypatch):
