@@ -2,29 +2,41 @@
 
 The tree splits on the maximum-variance dimension at the median point, one
 point per node, and queries backtrack, pruning by the distance to a
-subtree's cell; the tree is floor(log2 n) + 1 deep on any input, ties
-included.  It is held as flat arrays in preorder.  numpy sorts the points
-once per dimension, and the build partitions those orders down the tree
-one node at a time, so each node's points are already in order in its
-split dimension.  Nothing here recurses.
+subtree's cell and to the bounding box of its points; the tree is
+floor(log2 n) + 1 deep on any input, ties included.  It is held as flat
+arrays in preorder.  numpy sorts the points once per dimension, and the
+build partitions those orders down the tree one node at a time, so each
+node's points are already in order in its split dimension; one pass back
+up the tree then gives each node its subtree's bounding box.  Nothing
+here recurses.
 
 Both searches prune by one rule, the bounds-overlap-ball test of
-Friedman, Bentley & Finkel (ACM TOMS 1977).  A subtree's cell lies a gap
-``g[s]`` from the target in each dimension s: the square of the target's
-difference ``diff`` to the split value of the deepest ancestor split on s
-whose far side the cell lies on, else 0.  A node's point lies on its own
-split plane and in its node's cell, and every point of its far subtree lies
-in the far cell, whose gaps are the node's with ``g[s] = diff * diff`` for
-the split dimension s; so ``reach``, the square root of the far cell's gaps
-summed from 0.0 in dimension order, as a distance is summed, bounds the
-distances of them all: at an internal node whose reach is beyond the best
-distance so far, a search skips the node's point and its far subtree.
-Rounded differences, squares, sums and square roots are monotone, so reach
-is at most every computed distance it skips, underflow included (``|diff|``
-is not once squares underflow to 0).  On the target's own descent every gap
-is 0 and reach is ``sqrt(diff * diff)``, the plane alone.  A leaf has no
-plane, and its point is always evaluated.  On uniform 8-D points at k = 7,
-n = 2000, k-NN evaluates about 31 % of all pairs.
+Friedman, Bentley & Finkel (ACM TOMS 1977), on two regions.  A subtree's
+cell lies a gap ``g[s]`` from the target in each dimension s: the square
+of the target's difference ``diff`` to the split value of the deepest
+ancestor split on s whose far side the cell lies on, else 0.  A node's
+point lies on its own split plane and in its node's cell, and every point
+of its far subtree lies in the far cell, whose gaps are the node's with
+``g[s] = diff * diff`` for the split dimension s; so ``reach``, the square
+root of the far cell's gaps summed from 0.0 in dimension order, as a
+distance is summed, bounds the distances of them all: at an internal node
+whose reach is beyond the best distance so far, a search skips the node's
+point and its far subtree.  A far subtree of more than one point also
+has a bounding box, the least and greatest coordinates of its points
+(Sproull, Algorithmica 6, 1991), which lies in its cell: its distance, the
+gap ``max(lo - x, x - hi, 0)`` in each dimension squared, summed the same
+way and square-rooted, is at least reach, and such a subtree is searched
+only when that distance too is within the best so far; it is the
+subtree's bound on the stack.  Rounded differences, squares, sums and
+square roots are monotone, so neither bound exceeds a computed distance
+it skips, underflow included (``|diff|`` would once squares underflow to
+0).  On the target's own descent every gap is 0 and reach is
+``sqrt(diff * diff)``, the plane alone.  A leaf has no plane, and its
+point is always evaluated; nor is a leaf bounded by its box, whose
+distance would be the pair's distance, an evaluation the ledger would not
+count.  On uniform 8-D points at k = 7, n = 2000, where a cell of the
+11-level tree is open in most dimensions, k-NN evaluates about 22 % of
+all pairs, 31 % under the cell alone.
 
 Both searches also defer by one rule.  While fewer than k neighbours are
 kept, the best distance is inf and bounds nothing, so a node's point would
@@ -34,8 +46,8 @@ the stack with bound reach until the near subtree is searched, and is
 skipped if reach then exceeds the k-th best.  So a query evaluates O(1)
 points in fixed dimension (Friedman, Bentley & Finkel, ACM TOMS 1977; the
 bottom-up search of Bentley, SoCG 1990, for queries that are points of the
-tree), and k-NN pairs per point stay flat in n: 12.1 to 12.3 on uniform
-2-D points at k = 7 from n = 5000 to 300000.
+tree), and k-NN pairs per point stay flat in n: 10.7 to 11.0 on uniform
+2-D points at k = 7 from n = 5000 to 100000.
 
 The k-NN search seeds later queries.  A pair's distance has the same bits
 from either end, so each distance a query evaluates is also offered to the
@@ -43,14 +55,15 @@ other point's row when that point's query is still to run, and a query
 skips the points its row already holds.  A seeded row holds true
 distances, so its k-th best bounds the search from its first pop and the
 search stays exact.  On uniform 2-D points at k = 7 a distinct pair is
-evaluated about 1.08 times, against 1.58 when each query started empty.
+evaluated about 1.04 times, against 1.58 when each query started empty.
 
 The build after its sorts and both searches are C, ``_knn.c``, compiled
 by ``cc`` once per source hash at import and called through ``ctypes``.
 The search runs the depth-first search of every query in turn, near
 child first, and keeps the k best in (distance, index) order.  It holds
 the gaps of the cell it is in, in a workspace of ``dim`` doubles the
-caller passes, and a trail of those it replaced, so it allocates nothing.
+caller passes, and a trail of those it replaced, so it allocates nothing;
+it reads the boxes from the tree, which the build fills once.
 The k-NN search sums squares dimension by dimension as ``full_matrix``
 does, so every distance has its bits.
 :func:`knn_all` takes the queries in tree preorder, so successive queries
@@ -93,7 +106,10 @@ class KdTree:
     leaf), the point's coordinate there being the split value, and
     ``left[v]``/``right[v]`` its children (-1 when absent).  Left-subtree
     points precede ``point[v]`` in (coordinate, index) order, right-subtree
-    points follow it; ``left`` and ``right`` depend on n alone.
+    points follow it; ``left`` and ``right`` depend on n alone.  Row v of
+    the (n, dim) arrays ``lo`` and ``hi`` holds the least and greatest
+    coordinates of the points in node v's subtree, the box both searches
+    bound a far subtree by.
     """
 
     def __init__(self, dataset: Dataset):
@@ -101,7 +117,7 @@ class KdTree:
         arrays = _build(dataset.points)
         for a in arrays:
             a.setflags(write=False)
-        self.point, self.split_dim, self.left, self.right = arrays
+        self.point, self.split_dim, self.left, self.right, self.lo, self.hi = arrays
 
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path: floor(log2 n) + 1."""
@@ -130,8 +146,9 @@ class KdTree:
 
 
 def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Preorder arrays (point, split_dim, left, right), filled by ``build_tree``
-    from one stable argsort per dimension.
+    """Preorder arrays (point, split_dim, left, right, lo, hi), filled by
+    ``build_tree`` from one stable argsort per dimension; ``lo`` and ``hi``
+    are the halves of one (2, n, dim) array.
 
     Row d of ``order`` lists the points in (coordinate, index) order of
     dimension d: the sort is stable and compares with ``<``, so -0.0 and 0.0
@@ -141,7 +158,7 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
     # C reads each array by its address: every one is bound to a name, so it outlives the call
     pts = np.ascontiguousarray(points)
     n, dim = pts.shape
-    arrays = tuple(np.empty(n, dtype=np.int64) for _ in range(4))
+    arrays = (*(np.empty(n, dtype=np.int64) for _ in range(4)), *np.empty((2, n, dim)))
     order = np.ascontiguousarray(np.argsort(pts.T, axis=1, kind="stable"), dtype=np.int64)
     spare, side = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint8)
     _KERNEL.build_tree(
@@ -153,7 +170,8 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def build(d: Dataset) -> KdTree:
     """Build the spatial index: one stable sort per dimension, then, in C,
-    one node at a time, max-variance split dimension, median split point."""
+    one node at a time, max-variance split dimension, median split point,
+    and each subtree's bounding box."""
     return KdTree(d)
 
 
@@ -192,10 +210,10 @@ def _load_kernel(cache: Path, flags: tuple[str, ...] = ("-O2", "-ffp-contract=of
             stale.unlink(missing_ok=True)  # another process may remove it first
     kernel = ctypes.CDLL(str(library))
     kernel.build_tree.restype = None
-    kernel.build_tree.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
+    kernel.build_tree.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
     kernel.knn_search.restype = ctypes.c_int64
     kernel.knn_search.argtypes = (
-        [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_int64] * 2
+        [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 9 + [ctypes.c_int64] * 2
         + [ctypes.c_void_p] * 6 + [ctypes.c_int, ctypes.c_int64]
         + [ctypes.c_void_p] * 4
     )
@@ -233,8 +251,12 @@ def _knn(
     each row ascending by (distance, index), unfilled slots ``(inf, n)``,
     and the key of every pair evaluated, in search order, repeats included,
     of dtype :func:`~sktdpc.sparse.key_dtype`: ``lo * n + hi`` for k-NN,
-    ``target * n + j`` with the rank filter.  Every row starts at
-    ``(inf, n)`` before the first query.  k-NN offers each pair a query
+    ``target * n + j`` with the rank filter.  The kernel reads the
+    subtrees' boxes from ``tree.lo`` and ``tree.hi``, built once with the
+    tree, and each call gathers the nodes' points into preorder, n * dim
+    doubles it frees on return: held on the tree, they would outlast the
+    call into the separation stage, where a run's memory peaks.  Every row
+    starts at ``(inf, n)`` before the first query.  k-NN offers each pair a query
     evaluates to the row of the other point when that point is a later
     target, and a query skips the points its row holds; the kernel's
     scratch for it is ``row`` (the row of each node's point), ``node``
@@ -276,7 +298,8 @@ def _knn(
     done = 0
     while True:
         done = _KERNEL.knn_search(
-            n, dim, k, coords.ctypes.data, tree.point.ctypes.data, tree.split_dim.ctypes.data,
+            n, dim, k, coords.ctypes.data, tree.lo.ctypes.data, tree.hi.ctypes.data,
+            tree.point.ctypes.data, tree.split_dim.ctypes.data,
             tree.left.ctypes.data, tree.right.ctypes.data, pts.ctypes.data, targets.ctypes.data,
             m, done, indices.ctypes.data, distances.ctypes.data, *seeding, keys.ctypes.data,
             keys.dtype == np.int64, len(keys), ctypes.byref(n_keys), *rank_filter,
@@ -316,13 +339,17 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     The neighbors are n records; their ``indices`` and ``distances`` fields
     are (n, k) arrays, row i ascending by (distance, index), so distance
     ties go to the lower point index.  Each point's query is a depth-first
-    search, near child first: a node's far child is pushed with bound
-    ``reach``, the target's distance to the far child's cell (see the
-    module docstring), only when reach is at most the current k-th-best
-    distance, and tested again when popped.  Its point is
-    evaluated under the same test once k neighbours are kept; before that
-    it is deferred until after the near subtree, and skipped if reach then
-    exceeds the k-th best.  A leaf's point is always evaluated.  The
+    search, near child first: a node's far child is pushed only when
+    ``reach``, the target's distance to the far child's cell, and, unless
+    the far child is a leaf, its distance to the bounding box of the far
+    child's points (see the module docstring) are both at most the current
+    k-th-best distance, with the box's distance as its bound, which is
+    tested again when it is popped.  The node's point is evaluated under
+    the cell's test once k neighbours are kept; before that it is deferred
+    until after the near subtree, and skipped if reach then exceeds the
+    k-th best.  A leaf's point is always evaluated.  On uniform 2-D points
+    at k = 7 about 11.0 distinct pairs a point are evaluated (12.3 under
+    the cell alone).  The
     queries run in tree preorder (``tree.point``), and their rows are
     scattered back to point order.  A query offers each pair it evaluates
     to the later query of the other point, which starts from the offers it
@@ -364,13 +391,16 @@ def nearest_denser_all(
     two arrays: the distances and the indices; ``(inf, -1)`` for a target of
     the smallest rank.  Equal distances go to the lower index.  It is
     :func:`_knn` at k = 1 with the rank filter, which also skips every
-    subtree without a point of smaller rank (:func:`subtree_min_rank`), and
-    defers a node's point until a point of smaller rank is found, as
-    :func:`knn_all` does.  The kernel computes the distances; then each
-    pair it evaluated is recorded by a ``cache.distance(target, j)`` call,
-    in search order, the targets in the order given, its keys decoded by
-    ``divmod`` 1024 at a time, so no list of them all is held.  An exception
-    raised by a call propagates."""
+    subtree without a point of smaller rank (:func:`subtree_min_rank`);
+    it prunes by the same cell and box bounds and defers a node's point
+    until a point of smaller rank is found, as :func:`knn_all` does.  On
+    the fallback points of a run on uniform points at k = 7 the box bound
+    cuts the pairs it evaluates by a sixth in 2-D (3045 to 2561 for 530
+    targets among 7000) and by a third in 8-D.  The kernel computes the
+    distances; then each pair it evaluated is recorded by a
+    ``cache.distance(target, j)`` call, in search order, the targets in the
+    order given, its keys decoded by ``divmod`` 1024 at a time, so no list
+    of them all is held.  An exception raised by a call propagates."""
     indices, distances, keys = _knn(tree, targets, 1, rank)
     n = tree.dataset.n
     for start in range(0, len(keys), 1024):

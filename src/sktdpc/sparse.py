@@ -15,12 +15,14 @@ that (:func:`key_dtype`), which halves the bytes of the bulk keys at all
 but the largest n.  Keys live in two sorted arrays of that dtype.  The
 block holds the keys handed to the constructor, one per evaluation of
 the k-NN search: a pair twice when a query's offer of it to a later row
-did not stay among that row's k best, about 1.08 keys a pair on uniform
-2-D points at k = 7.  It is set once, repeats and all, beside the count of
-its distinct keys.  ``_late`` holds the distinct keys
-recorded after that, none of them in the block.  A lookup casts its probe
-keys to that dtype, as ``searchsorted`` would otherwise copy a whole array
-to int64 on every call.  One pair evaluated at a time (:meth:`distance`)
+did not stay among that row's k best and the row's bounds could not
+exclude it: at k = 7, about 1.04 keys a pair on uniform 2-D points, where
+the search evaluates about 11.0 pairs a point, and 1.25 on uniform
+2000 x 8 points, where it evaluates 22 % of all pairs.  It is set once,
+repeats and all, beside the count of its distinct keys.  ``_late`` holds
+the distinct keys recorded after that, none of them in the block.  A
+lookup casts its probe keys to that dtype, as ``searchsorted`` would
+otherwise copy a whole array to int64 on every call.  One pair evaluated at a time (:meth:`distance`)
 only has its key appended to a list of pending keys; :meth:`_settle`
 deduplicates them, drops those either array holds and merges the rest into
 ``_late`` in one vector pass, before every read and once the pending keys

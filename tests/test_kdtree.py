@@ -1,4 +1,5 @@
 import ast
+import functools
 import heapq
 import inspect
 import math
@@ -479,37 +480,61 @@ def _far_gaps(gaps, dim, diff):
     return gaps[:dim] + [diff * diff] + gaps[dim + 1 :]
 
 
-def reference_knn_query(tree, target, k, cache, rule="cell", row=(), offer=None):
+@functools.lru_cache(maxsize=4)
+def _walk_lists(tree):
+    """The lists the reference walks read: the tree's point, split_dim,
+    left and right, each node's split value, and its box's lo and hi rows;
+    made once per tree, as a walk runs once per query."""
+    arrays = (tree.point, tree.split_dim, tree.left, tree.right)
+    return (*(a.tolist() for a in arrays), _split_values(tree), tree.lo.tolist(), tree.hi.tolist())
+
+
+def _box_bound(lo, hi, coords):
+    """A search's lower bound on the distances from a target at ``coords``
+    to the points of a subtree whose bounding box is ``lo``, ``hi``: the
+    gap ``max(lo - x, x - hi, 0)`` in each dimension, squared, summed from
+    0.0 in dimension order, as a distance is summed, and square-rooted."""
+    total = 0.0
+    for low, high, x in zip(lo, hi, coords):
+        gap = max(low - x, x - high, 0.0)
+        total += gap * gap
+    return math.sqrt(total)
+
+
+def reference_knn_query(tree, target, k, cache, rule="box", row=(), offer=None):
     """The recursive depth-first search, kept as the oracle of the k-NN
     kernel, which runs it with an explicit stack: near child first.  A
     subtree's cell carries the squared gaps from the target to it, one a
     dimension: 0 at the root, the same in the near child, and in the far
     child the node's with the split dimension's gap replaced by
     ``diff * diff``, ``diff`` being the target's difference to the split
-    value.  At an internal node the bound of :func:`_far_bound` (``rule``
-    ``"cell"``: the far cell's gaps, summed as a distance is) bounds both
-    the node's point and the far subtree: each is evaluated or searched
-    only while fewer than k candidates are kept, or the bound is no farther
-    than the k-th best.  While fewer than k are kept, the node's point is
-    deferred: it is evaluated after the near subtree, and only if the bound
-    is then no farther than the k-th best (or fewer than k are still kept).
-    Once k are kept, it is evaluated before the near subtree.  A leaf has
-    no plane, so its point is always evaluated.  One scalar
-    ``cache.distance`` per evaluated point.
+    value.  At an internal node the bound of :func:`_far_bound` (the far
+    cell's gaps, summed as a distance is) bounds the node's point: it is
+    evaluated only while fewer than k candidates are kept, or the bound is
+    no farther than the k-th best.  The far subtree is searched under the
+    same test and, under ``rule="box"`` and unless it is a leaf, only if
+    also the target's distance to the bounding box of its points
+    (:func:`_box_bound`, the tree's ``lo`` and ``hi``) is no farther than
+    the k-th best: a leaf's box is its point, whose distance is no bound
+    but an evaluation.  While fewer than
+    k are kept, the node's point is deferred: it is evaluated after the
+    near subtree, and only if the bound is then no farther than the k-th
+    best (or fewer than k are still kept).  Once k are kept, it is
+    evaluated before the near subtree.  A leaf has no plane, so its point
+    is always evaluated.  One scalar ``cache.distance`` per evaluated
+    point.
 
-    ``rule="plane"`` gives the plane-reach rule, ``sqrt(diff * diff)``, and
-    ``rule="plain"`` plain hyperplane pruning, which evaluates every
-    visited node's point, deferred or not, and bounds the far subtree by
-    ``|diff|``; both are kept as superset checks.
+    ``rule="cell"`` gives the cell rule alone, ``rule="plane"`` the
+    plane-reach rule, ``sqrt(diff * diff)``, and ``rule="plain"`` plain
+    hyperplane pruning, which evaluates every visited node's point,
+    deferred or not, and bounds the far subtree by ``|diff|``; all three
+    are kept as superset checks.
 
     ``row`` holds the (distance, index) candidates earlier queries offered
     (see :func:`reference_knn_all`): the search starts from them as kept
     candidates and skips their points as it skips the target's, and
     ``offer(idx, d)``, when given, hears every pair it evaluates."""
-    point, split_dim, left, right = (
-        a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
-    )
-    split_value = _split_values(tree)
+    point, split_dim, left, right, split_value, lo, hi = _walk_lists(tree)
     coords = tree.dataset.points[target].tolist()
     plain = rule == "plain"
     # Max-heap of the best k candidates: heap root is the worst kept
@@ -552,38 +577,40 @@ def reference_knn_query(tree, target, k, cache, rule="cell", row=(), offer=None)
         if deferred and (plain or within(reach)):
             evaluate(idx)
         if far >= 0 and within(reach):
-            search(far, _far_gaps(gaps, dim, diff))
+            if rule != "box" or split_dim[far] < 0 or within(_box_bound(lo[far], hi[far], coords)):
+                search(far, _far_gaps(gaps, dim, diff))
 
     search(0, [0.0] * tree.dataset.dim)
     found = sorted((-d, -i) for d, i in heap)
     return [i for _, i in found], [d for d, _ in found]
 
 
-def reference_nearest_denser(tree, targets, rank, cache, rule="cell"):
+def reference_nearest_denser(tree, targets, rank, cache, rule="box"):
     """The scalar stack walk the kernel's rank filter replaced, kept as its
     oracle: the (distance, index) pair of each target's nearest point of
     smaller rank, ``(inf, -1)`` for none.  Depth first, near child first; a
     popped subtree with no point of smaller rank, or whose bound is strictly
     farther than the best distance, is skipped.  At an internal node the far
-    child is pushed only when the bound of :func:`_far_bound` (``rule``
-    ``"cell"``: the far cell's gaps, summed as a distance is, the cells'
-    gaps kept as :func:`reference_knn_query` keeps them) is at most the
-    best distance.  The node's point of smaller rank is evaluated at once
-    under the same test once a point is found; before that it is pushed as
-    its own entry with that bound, between the far child and the near
-    child, so it is popped after the near subtree and skipped like a
-    subtree.  A leaf's point of smaller rank is always evaluated.  One
+    child is pushed only when the bound of :func:`_far_bound` (the far
+    cell's gaps, summed as a distance is, the cells' gaps kept as
+    :func:`reference_knn_query` keeps them) is at most the best distance
+    and, under ``rule="box"``, so is the target's distance to the far
+    subtree's bounding box (:func:`_box_bound`), which is then its bound;
+    a far leaf keeps the cell's bound.
+    The node's point of smaller rank is evaluated at once under the cell's
+    test once a point is found; before that it is pushed as its own entry
+    with the cell's bound, between the far child and the near child, so it
+    is popped after the near subtree and skipped like a subtree.  A leaf's
+    point of smaller rank is always evaluated.  One
     ``cache.distance(target, j)`` per evaluated point.
 
-    ``rule="plane"`` gives the plane-reach rule and ``rule="plain"`` plain
-    hyperplane pruning, which evaluates every visited node's point of
-    smaller rank, deferred or not, and bounds the far subtree by
-    ``|diff|``; both are kept as superset checks."""
+    ``rule="cell"`` gives the cell rule alone, ``rule="plane"`` the
+    plane-reach rule and ``rule="plain"`` plain hyperplane pruning, which
+    evaluates every visited node's point of smaller rank, deferred or not,
+    and bounds the far subtree by ``|diff|``; all three are kept as
+    superset checks."""
     min_rank = reference_subtree_min_rank(tree, rank)
-    point, split_dim, left, right = (
-        a.tolist() for a in (tree.point, tree.split_dim, tree.left, tree.right)
-    )
-    split_value = _split_values(tree)
+    point, split_dim, left, right, split_value, lo, hi = _walk_lists(tree)
     rank = rank.tolist()
     plain = rule == "plain"
 
@@ -618,7 +645,11 @@ def reference_nearest_denser(tree, targets, rank, cache, rule="cell"):
                 continue
             near, far = (left[v], right[v]) if diff <= 0.0 else (right[v], left[v])
             if far >= 0 and (plain or reach <= best[0]):
-                stack.append((far, reach, False, _far_gaps(gaps, dim, diff)))
+                box = reach
+                if rule == "box" and split_dim[far] >= 0:
+                    box = _box_bound(lo[far], hi[far], coords)
+                if box <= best[0] or plain:
+                    stack.append((far, box, False, _far_gaps(gaps, dim, diff)))
             if defer:
                 stack.append((v, reach, True, None))
             if near >= 0:
@@ -864,13 +895,99 @@ def test_a_point_at_a_cell_corner_at_exactly_the_best_is_evaluated_by_the_rank_f
     assert (got_d.tolist(), got_j.tolist()) == ([full_matrix(d)[target, 1]], [1])
 
 
+def _box_face_tie(tree, target, row):
+    """The last point j of the target's ``row`` (its k-th neighbour, or its
+    nearest denser point), asserted to lie in a far subtree of more than
+    one point on its path from the root whose bounding box lies exactly
+    j's distance from the target, farther than that subtree's cell, and to
+    win an index tie against an equidistant point left out of the row;
+    returned.  The cell alone would not skip that subtree, the box only
+    just does not: a search whose box bound were one ulp larger, or tested
+    with ``<``, would keep the other point instead."""
+    m = full_matrix(tree.dataset)
+    j = row[-1]
+    u, v = tree.point.tolist().index(j), 0
+    x, gaps, faces = tree.dataset.points[target], [0.0] * tree.dataset.dim, []
+    while v != u:
+        s = int(tree.split_dim[v])
+        diff = x[s] - tree.dataset.points[tree.point[v], s]
+        near, far = (tree.left[v], tree.right[v]) if diff <= 0.0 else (tree.right[v], tree.left[v])
+        if u in _subtree(tree, int(far)):
+            gaps, v = _far_gaps(gaps, s, diff), int(far)
+            box = _box_bound(tree.lo[v].tolist(), tree.hi[v].tolist(), x.tolist())
+            faces.append(tree.split_dim[v] >= 0 and box == m[target, j] > math.sqrt(sum(gaps)))
+        else:
+            v = int(near)
+    assert any(faces)
+    assert any(m[target, i] == m[target, j] and i not in row for i in range(j + 1, tree.dataset.n))
+    return j
+
+
+def _lattice_variants():
+    """The lattice, the lattice with its first 16 points repeated after it
+    (coincident pairs), and the lattice scaled by 2^600, where every square
+    of a nonzero difference overflows to inf, and by 2^-600, where every
+    one underflows to 0: ties at a box face in every case."""
+    points = _lattice().points
+    return {
+        "lattice": points,
+        "coincident": np.vstack([points, points[:16]]),
+        "scaled_2^600": points * 2.0**600,
+        "scaled_2^-600": points * 2.0**-600,
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 2^600
+@pytest.mark.parametrize("case", list(_lattice_variants()))
+def test_a_point_on_a_box_face_at_exactly_the_kth_best_is_evaluated(case):
+    """A far subtree whose box lies exactly the k-th best away when it is
+    pushed and popped is searched, and its point on that face, of lower
+    index than the k-th neighbour kept, takes its place: on the lattice,
+    target 10 at k = 3 meets point 33 so, in a subtree whose cell touches
+    the target.  Rows equal the full matrix's, distance bits included, on
+    the lattice and on its coincident and scaled variants, at k = 1 to 4."""
+    d = Dataset(_lattice_variants()[case])
+    if case == "lattice":
+        tree = build(d)
+        assert _box_face_tie(tree, 10, knn_all(tree, 3)[0].indices[10].tolist()) == 33
+    for k in (1, 2, 3, 4):
+        _assert_knn_all_equals_brute_force(d, k)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 2^600
+@pytest.mark.parametrize("case", list(_lattice_variants()))
+def test_a_point_on_a_box_face_at_exactly_the_best_is_evaluated_by_the_rank_filter(case):
+    """The same for the nearest-denser search (k = 1): on the lattice,
+    every other point denser than target 1, its nearest denser point is
+    point 40, on the face of a subtree whose cell touches the target.  The
+    answers of every target under three random ranks equal a scan of its
+    denser points, distance bits included, on the lattice and on its
+    coincident and scaled variants."""
+    d = Dataset(_lattice_variants()[case])
+    tree = build(d)
+    m = full_matrix(d)
+    if case == "lattice":
+        rank = np.arange(d.n)
+        rank[1], rank[-1] = d.n - 1, 1
+        ledger = SparseDistanceMatrix(d.points)
+        _, got_j = nearest_denser_all(tree, np.array([1]), rank, ledger)
+        assert _box_face_tie(tree, 1, got_j.tolist()) == 40
+    for seed in range(3):
+        rank = np.random.default_rng(seed).permutation(d.n)
+        got_d, got_j = nearest_denser_all(tree, np.arange(d.n), rank, SparseDistanceMatrix(d.points))
+        want = [min(((m[i, j], j) for j in range(d.n) if rank[j] < rank[i]), default=(math.inf, -1))
+                for i in range(d.n)]
+        assert list(zip(got_d.tolist(), got_j.tolist())) == want
+        assert got_d.tobytes() == np.array([dist for dist, _ in want]).tobytes()
+
+
 def test_knn_pairs_per_point_stay_flat_in_n():
     """k-NN pairs per point (distinct pairs over n) on uniform 2-D points
     at k = 7: each query defers the points near the root until it keeps k
-    neighbours, so it evaluates O(1) points, about 12.2 (13.4 with no row
-    seeded by earlier queries, 15.1 also under the plane bound alone), at
-    any n.  Without the deferral they grew with log n, from 20.6 at
-    n = 5000 to 22.8 at 20000 and 25.1 at 100000."""
+    neighbours, so it evaluates O(1) points, about 11.0 (12.1 with no row
+    seeded by earlier queries, 12.2 under the cell bound alone, 15.1 under
+    the plane bound alone), at any n.  Without the deferral they grew with
+    log n, from 20.6 at n = 5000 to 22.8 at 20000 and 25.1 at 100000."""
     per_point = {}
     for n in (5000, 20_000, 100_000):
         d = Dataset(np.random.default_rng(0).random((n, 2)))
@@ -885,24 +1002,38 @@ def test_knn_writes_each_pair_about_once(seed):
     offered to the other point's row when its query comes later, and that
     query skips the points its row holds, so a pair is written twice only
     when the offer did not stay among the k best.  Keys written are at
-    most 1.1 times the distinct pairs (1.08 here; 1.58 unseeded), and the
-    seeded rows' bounds prune from the first pop, so the distinct pairs are
-    at most 12.7 a point (12.3; 13.45 unseeded)."""
+    most 1.06 times the distinct pairs (1.044 here; 1.58 unseeded, 1.08
+    under the cell bound alone), and the seeded rows' bounds prune from the
+    first pop, so the distinct pairs are at most 11.4 a point (11.0; 12.1
+    unseeded, 12.3 under the cell bound alone)."""
     d = Dataset(np.random.default_rng(seed).random((20_000, 2)))
     _, cache = knn_all(build(d), 7)
-    assert len(cache._block) <= 1.1 * cache.evaluations
-    assert cache.evaluations <= 12.7 * d.n
+    assert len(cache._block) <= 1.06 * cache.evaluations
+    assert cache.evaluations <= 11.4 * d.n
 
 
 def test_knn_evaluates_under_two_fifths_of_the_pairs_in_8d():
     """k-NN pairs on uniform 8-D points at k = 7, n = 2000, as a share of
     all n(n - 1)/2: the cell bound sums the gaps to a far subtree's whole
-    cell, so it prunes in 8-D, where the plane alone evaluates 85 %; about
-    31 % here (33 % with no row seeded by earlier queries)."""
+    cell, and the box bound those to the box of its points, which in 8-D
+    is much smaller than its cell, open in most dimensions; the plane alone
+    evaluates 85 %, the cell bound 31 %, both bounds about 22 % (23 % with
+    no row seeded by earlier queries), and at most 24 % here."""
     n = 2000
     d = Dataset(np.random.default_rng(0).random((n, 8)))
     share = knn_all(build(d), 7)[1].evaluations / (n * (n - 1) / 2)
-    assert share <= 0.40, share
+    assert share <= 0.24, share
+
+
+def test_knn_writes_each_pair_about_once_in_8d():
+    """Uniform 8-D points, n = 2000, k = 7: an offer that does not stay
+    among a later row's k best is forgotten, and that row's query writes
+    the pair again if its bounds cannot exclude it.  The box bound excludes
+    more of them than the cell bound: keys written are at most 1.28 times
+    the distinct pairs (1.25 here, 1.32 under the cell bound alone)."""
+    d = Dataset(np.random.default_rng(0).random((2000, 8)))
+    _, cache = knn_all(build(d), 7)
+    assert len(cache._block) <= 1.28 * cache.evaluations, len(cache._block) / cache.evaluations
 
 
 @pytest.mark.parametrize("n, dim, k", [(2000, 64, 7), (1, 3, 1), (2, 3, 1)])
@@ -1346,6 +1477,18 @@ def test_build_equals_reference_build(make):
     _assert_build_equals_reference(make())
 
 
+@pytest.mark.parametrize("make", _BUILD_CASES, ids=lambda make: make.__name__)
+def test_boxes_bound_each_subtree(make):
+    """Rows v of ``lo`` and ``hi`` are the least and greatest coordinates,
+    dimension by dimension, of the points in node v's subtree."""
+    points = make()
+    tree = build(Dataset(points))
+    for v in range(len(points)):
+        below = points[tree.point[_subtree(tree, v)]]
+        assert np.array_equal(tree.lo[v], below.min(axis=0))
+        assert np.array_equal(tree.hi[v], below.max(axis=0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(adversarial())
 def test_build_equals_reference_build_on_adversarial_inputs(case):
@@ -1406,15 +1549,17 @@ def test_tree_shape_on_ties_equals_shape_on_uniform_points(points):
 
 def _assert_pairs_within_plain_pruning(d, k):
     """Pruning only drops work: from every query of a sample of at most
-    about 200, the pairs the k-NN kernel evaluates are among those the
-    plane-reach rule evaluates from the same query on the same tree, and
-    those among the pairs plain hyperplane pruning evaluates; so are the
-    pairs of the nearest-denser search (density ranks of the k-NN result)
-    against the reference walk's under the same two rules, and every rule
-    finds the same points.  Where squares do not underflow, sqrt(diff *
-    diff) == |diff|, so the plane rule takes plain pruning's path and skips
-    only node points that could not enter the best; the cell bound is at
-    least the plane's, so it skips more, never a point that could enter."""
+    about 200, the pairs the k-NN kernel evaluates are among those the cell
+    rule alone evaluates from the same query on the same tree, those among
+    the plane-reach rule's, and those among the pairs plain hyperplane
+    pruning evaluates; so are the pairs of the nearest-denser search
+    (density ranks of the k-NN result) against the reference walk's under
+    the same three rules, and every rule finds the same points.  Where
+    squares do not underflow, sqrt(diff * diff) == |diff|, so the plane
+    rule takes plain pruning's path and skips only node points that could
+    not enter the best; the cell bound is at least the plane's, and a far
+    subtree's box lies in its cell, so each bound skips more than the one
+    before, never a point that could enter."""
     tree = build(d)
     queries = np.arange(0, d.n, -(-d.n // 200))
     _, order = core.local_density(knn_all(tree, k)[0])
@@ -1423,7 +1568,7 @@ def _assert_pairs_within_plain_pruning(d, k):
     walk = _CallLog(d.points)
     got_d, got_j = nearest_denser_all(tree, queries, rank, walk)
     walks = [_pairs_by_target(walk.calls)]
-    for rule in ("plane", "plain"):
+    for rule in ("cell", "plane", "plain"):
         log = _CallLog(d.points)
         assert list(zip(got_d.tolist(), got_j.tolist())) == reference_nearest_denser(
             tree, queries, rank, log, rule
@@ -1433,12 +1578,12 @@ def _assert_pairs_within_plain_pruning(d, k):
         indices, _, keys = kdtree._knn(tree, np.array([i]), k)
         lo, hi = np.divmod(keys, d.n)
         knn = [set((lo + hi - i).tolist())]  # the other point of each pair
-        for rule in ("plane", "plain"):
+        for rule in ("cell", "plane", "plain"):
             log = _CallLog(d.points)
             assert reference_knn_query(tree, i, k, log, rule)[0] == indices[0].tolist()
             knn.append({j for _, j, _ in log.calls})
         for pairs in (knn, [w.get(i, set()) for w in walks]):
-            assert pairs[0] <= pairs[1] <= pairs[2], i
+            assert pairs[0] <= pairs[1] <= pairs[2] <= pairs[3], i
 
 
 def _pairs_by_target(calls):
