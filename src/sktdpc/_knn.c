@@ -39,12 +39,12 @@
    child is pushed with bound box, and tested again when it is popped,
    after the near subtree.  In an 11-level 8-D tree a cell is open in most
    dimensions and a box is not: on uniform 2000 x 8 points at k = 7 the
-   k-NN search evaluates 22 % of all pairs, against 31 % under the cell
-   alone.  The search keeps one gap vector, that of the cell it is in,
-   and a trail of the gaps it replaced on its way down (Arya & Mount's
-   incremental distance, DCC 1993, without the running sum, which would
-   not be summed in order): a popped far child undoes the trail back to
-   its push, then sets its own gap, so no entry copies a vector.  Once k
+   k-NN search evaluates 22 % of all pairs.  The search keeps one gap
+   vector, that of the cell it is in, and a trail of the gaps it replaced
+   on its way down (Arya & Mount's incremental distance, DCC 1993, without
+   the running sum, which would not be summed in order): a popped far
+   child undoes the trail back to its push, then sets its own gap, so no
+   entry copies a vector.  Once k
    are kept, the node's point is evaluated on the spot under the same
    test.  While fewer are kept (the k-th best is inf), it is deferred
    instead: it is pushed as its own entry with bound reach, below the near
@@ -62,7 +62,7 @@
    offered distance has the bits that row's query would compute; a seeded
    row holds true distances, so its k-th best bounds the search from the
    first pop and the answer stays exact.  On uniform 2-D points at k = 7 a
-   distinct pair is written about 1.04 times, 1.58 unseeded.  Both
+   distinct pair is written about 1.04 times.  Both
    searches compute every distance they evaluate, squares summed from 0.0
    dimension by dimension as baseline.full_matrix sums them, so every
    distance has its bits, and write the pair's key: lo * n + hi for k-NN,

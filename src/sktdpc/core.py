@@ -135,54 +135,37 @@ def decision_values(density: np.ndarray, separation: np.ndarray) -> tuple[np.nda
     sort first.
     """
     with np.errstate(invalid="ignore"):
-        decision = density * separation
-    infinite = np.isinf(density)
-    if infinite.any():
-        decision = np.where(infinite, np.inf, decision)
+        decision = np.where(np.isinf(density), np.inf, density * separation)
     return decision, _descending_order(decision)
 
 
-def mutation_point(
-    decision: np.ndarray, decision_order: np.ndarray
-) -> tuple[int, tuple[str, ...]]:
+def mutation_point(decision: np.ndarray, decision_order: np.ndarray) -> tuple[int, tuple[str, ...]]:
     """Rank separating center candidates from the rest of the decision curve.
 
-    Scored second-order differences of the descending decision values over
-    ranks [2, floor(sqrt(n))]; the winner is the largest rank attaining the
-    maximum score.  Degenerate windows fall back deterministically and are
-    flagged.
+    With g the decision values in ``decision_order``, m = floor(sqrt(n))
+    and mu_i = g_i - g_(i+1) (ranks from 1), rank i in [2, m - 2] scores
+    ((i + 1) / i)**2 * (mu_i - mu_(i+1)) / spread, where spread is
+    max - min of g_2 .. g_m.  The winner is the largest rank attaining the
+    maximum finite score.  The square is libm's ``pow``, as Python's ``**``
+    takes it; numpy's ``** 2`` multiplies, which rounds some ranks (the
+    first is 809) one ulp apart.  Degenerate windows fall back
+    deterministically and are flagged.
     """
-    n = len(decision)
-    m = math.isqrt(n)
+    m = math.isqrt(len(decision))
     if m - 2 < 2:
         return 2, ("mutation-window-too-small",)
-    ranked = decision[decision_order]
-
-    def gs(rank: int) -> float:
-        return float(ranked[rank - 1])
-
-    window = ranked[1:m]
-    lo, hi = float(window.min()), float(window.max())
-    if hi == lo:
+    g = decision[decision_order[:m]]
+    lo, hi = float(g[1:].min()), float(g[1:].max())
+    if hi == lo:  # not hi - lo == 0: an all-inf window would read nan
         return m - 2, ("flat-decision-window",)
-    spread = hi - lo
-
-    def mu(i: int) -> float:
-        return gs(i) - gs(i + 1)
-
-    best_score = -math.inf
-    best_rank = 2
-    for i in range(2, m - 1):
-        xi = mu(i) - mu(i + 1)
-        score = ((i + 1) / i) ** 2 * xi / spread
-        if not math.isfinite(score):
-            continue
-        if score >= best_score:  # ties resolve to the largest rank
-            best_score = score
-            best_rank = i
-    if best_score == -math.inf:
+    i = np.arange(2, m - 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = g[:-1] - g[1:]
+        score = np.float_power((i + 1) / i, 2) * (mu[i - 1] - mu[i]) / (hi - lo)
+    best = score[np.isfinite(score)].max(initial=-np.inf)
+    if best == -np.inf:
         return m - 2, ("non-finite-decision-window",)
-    return best_rank, ()
+    return int(np.flatnonzero(score == best)[-1]) + 2, ()
 
 
 def select_centers(
@@ -197,16 +180,13 @@ def select_centers(
     Candidates must exceed both means; an emptied set falls back to the
     top-ranked point.
     """
-    n = len(density)
-    candidates = tuple(int(x) for x in decision_order[: min(m_p, n)])
-    top = decision_order[: min(math.isqrt(n), n)]
-    density_mean = float(density[top].mean())
-    separation_mean = float(separation[top].mean())
-    centers = tuple(
-        c
-        for c in candidates
-        if density[c] > density_mean and separation[c] > separation_mean
-    )
+    candidates = decision_order[:m_p]
+    top = decision_order[: math.isqrt(len(density))]
+    with np.errstate(invalid="ignore"):  # +inf and -inf average to nan
+        keep = density[candidates] > density[top].mean()
+        keep &= separation[candidates] > separation[top].mean()
+    centers = tuple(candidates[keep].tolist())
+    candidates = tuple(candidates.tolist())
     if centers:
         return centers, candidates, ()
     return (candidates[0],), candidates, ("center-filter-fallback",)

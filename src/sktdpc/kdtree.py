@@ -36,7 +36,7 @@ point is always evaluated; nor is a leaf bounded by its box, whose
 distance would be the pair's distance, an evaluation the ledger would not
 count.  On uniform 8-D points at k = 7, n = 2000, where a cell of the
 11-level tree is open in most dimensions, k-NN evaluates about 22 % of
-all pairs, 31 % under the cell alone.
+all pairs.
 
 Both searches also defer by one rule.  While fewer than k neighbours are
 kept, the best distance is inf and bounds nothing, so a node's point would
@@ -55,7 +55,7 @@ other point's row when that point's query is still to run, and a query
 skips the points its row already holds.  A seeded row holds true
 distances, so its k-th best bounds the search from its first pop and the
 search stays exact.  On uniform 2-D points at k = 7 a distinct pair is
-evaluated about 1.04 times, against 1.58 when each query started empty.
+evaluated about 1.04 times.
 
 The build after its sorts and both searches are C, ``_knn.c``, compiled
 by ``cc`` once per source hash at import and called through ``ctypes``.
@@ -122,27 +122,6 @@ class KdTree:
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path: floor(log2 n) + 1."""
         return self.dataset.n.bit_length()
-
-    def dump(self) -> str:
-        """Indented text rendering of the tree structure, for golden tests."""
-        point, split_dim, left, right = (
-            a.tolist() for a in (self.point, self.split_dim, self.left, self.right)
-        )
-        split_value = self.dataset.points[self.point, self.split_dim].tolist()  # leaves: unused
-        out: list[str] = []
-        stack = [(0, 0)]
-        while stack:
-            v, indent = stack.pop()
-            if left[v] < 0 and right[v] < 0:
-                out.append(f"{'  ' * indent}leaf point={point[v]}")
-                continue
-            out.append(
-                f"{'  ' * indent}node point={point[v]} dim={split_dim[v]} split={split_value[v]!r}"
-            )
-            for child in (right[v], left[v]):
-                if child >= 0:
-                    stack.append((child, indent + 1))
-        return "\n".join(out)
 
 
 def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -348,8 +327,7 @@ def knn_all(tree: KdTree, k: int) -> tuple[np.recarray, SparseDistanceMatrix]:
     the cell's test once k neighbours are kept; before that it is deferred
     until after the near subtree, and skipped if reach then exceeds the
     k-th best.  A leaf's point is always evaluated.  On uniform 2-D points
-    at k = 7 about 11.0 distinct pairs a point are evaluated (12.3 under
-    the cell alone).  The
+    at k = 7 about 11.0 distinct pairs a point are evaluated.  The
     queries run in tree preorder (``tree.point``), and their rows are
     scattered back to point order.  A query offers each pair it evaluates
     to the later query of the other point, which starts from the offers it
@@ -393,14 +371,12 @@ def nearest_denser_all(
     :func:`_knn` at k = 1 with the rank filter, which also skips every
     subtree without a point of smaller rank (:func:`subtree_min_rank`);
     it prunes by the same cell and box bounds and defers a node's point
-    until a point of smaller rank is found, as :func:`knn_all` does.  On
-    the fallback points of a run on uniform points at k = 7 the box bound
-    cuts the pairs it evaluates by a sixth in 2-D (3045 to 2561 for 530
-    targets among 7000) and by a third in 8-D.  The kernel computes the
-    distances; then each pair it evaluated is recorded by a
-    ``cache.distance(target, j)`` call, in search order, the targets in the
-    order given, its keys decoded by ``divmod`` 1024 at a time, so no list
-    of them all is held.  An exception raised by a call propagates."""
+    until a point of smaller rank is found, as :func:`knn_all` does.  The
+    kernel computes the distances; then each pair it evaluated is recorded
+    by a ``cache.distance(target, j)`` call, in search order, the targets
+    in the order given, its keys decoded by ``divmod`` 1024 at a time, so
+    no list of them all is held.  An exception raised by a call
+    propagates."""
     indices, distances, keys = _knn(tree, targets, 1, rank)
     n = tree.dataset.n
     for start in range(0, len(keys), 1024):

@@ -71,9 +71,10 @@ class SparseDistanceMatrix:
         """A ledger over ``points`` recording every pair in ``keys``
         (integers ``lo * n + hi``, any order, repeats allowed; sorted in
         place when already a writeable array of dtype ``key_dtype(n)``,
-        else copied to it).  ValueError names a key outside [0, n * n)."""
+        else copied to it).  ValueError names a key outside [0, n * n).
+        It reads float64 ``points`` in place: they must stay unchanged."""
         pts = np.asarray(points, dtype=np.float64)
-        self._columns = np.ascontiguousarray(pts.T)
+        self._columns = pts.T
         self._column_lists = self._columns.tolist()  # the scalar reads index lists faster
         n = self._n = pts.shape[0]
         keys = np.asarray((), dtype=np.int64) if keys is None else np.asarray(keys)

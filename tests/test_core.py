@@ -317,6 +317,159 @@ def test_select_centers_fallback_keeps_top_rank():
     assert "center-filter-fallback" in flags
 
 
+def reference_decision_values(density, separation):
+    """The decision values before they became one ``np.where``, kept as
+    their oracle."""
+    with np.errstate(invalid="ignore"):
+        decision = density * separation
+    infinite = np.isinf(density)
+    if infinite.any():
+        decision = np.where(infinite, np.inf, decision)
+    return decision, core._descending_order(decision)
+
+
+def reference_mutation_point(decision, decision_order):
+    """The loop over ranks the array score replaced, kept as its oracle:
+    Python floats, ties to the largest rank, non-finite scores skipped."""
+    n = len(decision)
+    m = math.isqrt(n)
+    if m - 2 < 2:
+        return 2, ("mutation-window-too-small",)
+    ranked = decision[decision_order]
+
+    def gs(rank):
+        return float(ranked[rank - 1])
+
+    window = ranked[1:m]
+    lo, hi = float(window.min()), float(window.max())
+    if hi == lo:
+        return m - 2, ("flat-decision-window",)
+    spread = hi - lo
+
+    def mu(i):
+        return gs(i) - gs(i + 1)
+
+    best_score = -math.inf
+    best_rank = 2
+    for i in range(2, m - 1):
+        xi = mu(i) - mu(i + 1)
+        score = ((i + 1) / i) ** 2 * xi / spread
+        if not math.isfinite(score):
+            continue
+        if score >= best_score:
+            best_score = score
+            best_rank = i
+    if best_score == -math.inf:
+        return m - 2, ("non-finite-decision-window",)
+    return best_rank, ()
+
+
+def reference_select_centers(density, separation, decision_order, m_p):
+    """The per-candidate filter the boolean mask replaced, kept as its oracle."""
+    n = len(density)
+    candidates = tuple(int(x) for x in decision_order[: min(m_p, n)])
+    top = decision_order[: min(math.isqrt(n), n)]
+    with np.errstate(invalid="ignore"):  # +inf and -inf average to nan
+        density_mean = float(density[top].mean())
+        separation_mean = float(separation[top].mean())
+    centers = tuple(
+        c
+        for c in candidates
+        if density[c] > density_mean and separation[c] > separation_mean
+    )
+    if centers:
+        return centers, candidates, ()
+    return (candidates[0],), candidates, ("center-filter-fallback",)
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def _assert_center_stages_equal_the_references(density, separation, decision, order, m_p):
+    """Every value, bit, type and flag of the three center stages equals
+    its reference's, on the given decision curve and on the one
+    ``decision_values`` derives."""
+    got, want = core.decision_values(density, separation), reference_decision_values(density, separation)
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+    assert got[1].tolist() == want[1].tolist()
+    for curve, curve_order in ((decision, order), got):
+        m = core.mutation_point(curve, curve_order)
+        assert m == reference_mutation_point(curve, curve_order), (curve.tolist(), curve_order.tolist())
+        assert type(m[0]) is int and type(m[1]) is tuple
+        for cut in (m_p, m[0]):
+            c = core.select_centers(density, separation, curve_order, cut)
+            assert c == reference_select_centers(density, separation, curve_order, cut)
+            assert all(type(x) is int for x in c[0] + c[1]) and type(c[2]) is tuple
+
+
+def _center_stage_corpus(count):
+    """Seeded inputs to the center stages, n = 1 to 120: values from a few
+    small integers (ties) or a normal spread, sprinkled with +-0.0, +-inf
+    and NaN; decision curves also reach +-1e308, so scores overflow; orders
+    descending or random."""
+    rng = np.random.default_rng(30)
+    for _ in range(count):
+        n = int(rng.integers(1, 121))
+
+        def values(scale):
+            v = rng.integers(0, 4, n).astype(float) if rng.random() < 0.5 else rng.normal(0, scale, n)
+            special = rng.random(n) < rng.choice([0.0, 0.05, 0.3])
+            v[special] = rng.choice(_SPECIAL, int(special.sum()))
+            return v
+
+        density, separation = values(10.0), values(10.0)
+        decision = values(float(rng.choice([1.0, 1e300])))
+        if rng.random() < 0.5:
+            decision[rng.random(n) < 0.1] = rng.choice([1.7e308, -1.7e308])
+        order = core._descending_order(decision) if rng.random() < 0.5 else rng.permutation(n)
+        yield density, separation, decision, order, int(rng.integers(1, n + 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_center_stages_equal_the_references_on_a_seeded_corpus():
+    flags = set()
+    for case in _center_stage_corpus(3000):
+        _assert_center_stages_equal_the_references(*case)
+        flags.update(core.mutation_point(case[2], case[3])[1])
+    assert flags == {"mutation-window-too-small", "flat-decision-window", "non-finite-decision-window"}
+
+
+_center_values = st.one_of(
+    st.floats(min_value=-1e100, max_value=1e100), st.sampled_from(_SPECIAL), st.integers(0, 3).map(float)
+)
+
+
+@st.composite
+def center_stage_inputs(draw):
+    n = draw(st.integers(1, 120))
+    arrays = [np.array(draw(st.lists(_center_values, min_size=n, max_size=n))) for _ in range(3)]
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return (*arrays, order, draw(st.integers(1, n + 2)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(center_stage_inputs())
+def test_center_stages_equal_the_references_on_generated_inputs(case):
+    _assert_center_stages_equal_the_references(*case)
+
+
+def test_mutation_point_weight_is_rounded_as_python_pow_rounds_it():
+    """((i + 1) / i)**2 by ``pow`` is one ulp above its square by
+    multiplication at rank 809.  Here rank 809's score exceeds rank 812's
+    by that ulp alone: rank 809 scores w(809) * a / 2, with w(809) * a just
+    above 2 * w(812) under ``pow`` and not under multiplication, and rank
+    812 scores w(812) * 2 / 2."""
+    a = float.fromhex("0x1.fffecde7299c9p+0")
+    w = (810 / 809) ** 2
+    assert w * a > 2 * (813 / 812) ** 2 >= (810 / 809) * (810 / 809) * a
+    decision = np.zeros(814 * 814)
+    decision[810] = a  # g_811: xi_809 = a, xi_810 = -2a, xi_811 = a
+    decision[813] = 2.0  # g_814: xi_812 = 2; the spread is 2
+    order = np.arange(len(decision))
+    assert core.mutation_point(decision, order) == reference_mutation_point(decision, order) == (809, ())
+
+
 def reference_assign_labels(density_order, nearest_denser, centers, distance_fn):
     """The per-point loop the pointer doubling replaced, kept as its oracle:
     one pass in descending-density order, each point taking the label of

@@ -44,8 +44,8 @@ def _subtree(tree, v):
 
 
 def _split_values(tree):
-    """Each node's split value, ``points[point[v], split_dim[v]]``, as the
-    tree's ``dump`` derives it (a leaf's entry is not used)."""
+    """Each node's split value, ``points[point[v], split_dim[v]]`` (a leaf's
+    entry is not used)."""
     return tree.dataset.points[tree.point, tree.split_dim].tolist()
 
 
@@ -276,14 +276,14 @@ def test_query_rejects_bad_k():
         knn_all(tree, 3)
 
 
-def test_dump_golden():
+def test_tree_arrays_golden():
     d = Dataset(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))
     tree = build(d)
-    assert tree.dump() == (
-        "node point=1 dim=1 split=1.0\n"
-        "  leaf point=0\n"
-        "  leaf point=2"
-    )
+    assert tree.point.tolist() == [1, 0, 2]
+    assert tree.split_dim.tolist() == [1, -1, -1]
+    assert tree.left.tolist() == [1, -1, -1]
+    assert tree.right.tolist() == [2, -1, -1]
+    assert _split_values(tree)[0] == 1.0
 
 
 def test_twelve_point_cache_shape():
@@ -1160,7 +1160,7 @@ def test_identical_points_build_and_search_without_recursion():
     d = Dataset(np.full((1500, 2), 0.25))
     tree = build(d)
     assert tree.depth() == _longest_path(tree) == 11
-    assert len(tree.dump().splitlines()) == 1500
+    assert sorted(_subtree(tree, 0)) == list(range(1500))  # each node reached once
     neighbors, cache = knn_all(tree, 7)
     assert neighbors.indices[:2].tolist() == [[1, 2, 3, 4, 5, 6, 7], [0, 2, 3, 4, 5, 6, 7]]
     assert (neighbors.distances == 0.0).all()
@@ -1504,9 +1504,8 @@ def test_build_equals_reference_build_on_benchmark_inputs(workload):
 
 
 def test_build_has_no_recursion():
-    """Nothing in ``kdtree`` calls itself: ``dump`` keeps explicit state, as
-    the kernel's build and searches do, so depth is bounded by memory, not
-    the stack."""
+    """Nothing in ``kdtree`` calls itself: the kernel's build and searches
+    keep explicit stacks, so depth is bounded by memory, not the stack."""
     source = ast.parse(inspect.getsource(kdtree))
     for fn in ast.walk(source):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
