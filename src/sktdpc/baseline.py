@@ -26,9 +26,10 @@ def full_matrix(d: Dataset) -> np.ndarray:
     pts = d.points
     n = pts.shape[0]
     sq = np.zeros((n, n))
-    for h in range(pts.shape[1]):
-        diff = pts[:, h, None] - pts[None, :, h]
-        sq += diff * diff
+    with np.errstate(over="ignore"):  # a too-large square is inf, as in the kernel
+        for h in range(pts.shape[1]):
+            diff = pts[:, h, None] - pts[None, :, h]
+            sq += diff * diff
     return np.sqrt(sq)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .kdtree import _check_count, build, knn_all, nearest_denser_all
+from .kdtree import _check_count, ascending_order, build, knn_all, nearest_denser_all
 from .sparse import SparseDistanceMatrix
 
 
@@ -68,8 +68,12 @@ class ClusteringResult:
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting values descending, equal values by ascending index."""
-    return np.argsort(-values, kind="stable")
+    """Indices sorting values descending, equal values by ascending index:
+    :func:`~sktdpc.kdtree.ascending_order` of the negated values, so -0.0
+    and 0.0 tie, as do NaNs, which sort last.  It is the stable sort itself
+    below :data:`~sktdpc.kdtree.STABLE_SORT_BELOW` values, else numpy's
+    quicksort with each tie run put back in index order."""
+    return ascending_order(-values)
 
 
 def local_density(neighbors: np.recarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,6 +283,8 @@ def _finish(
     flags = flags_m + flags_c + flags_a
     if np.isinf(density).any():
         flags = flags + ("infinite-density-sentinel",)
+    if not np.isfinite(separation).all():  # a distance overflowed to inf
+        flags = flags + ("non-finite-separation",)
     distance_evaluations, distance_ratio = evaluations()
     return ClusteringResult(
         centers=centers,

@@ -166,10 +166,11 @@ class SparseDistanceMatrix:
         if not 0 <= i < n or len(js) and not (0 <= js.min() and js.max() < n):
             raise IndexError(f"point index out of range [0, {n}): {i} or one of js")
         out = np.zeros(len(js))
-        for column in self._columns:
-            t = column[i] - column[js]
-            t *= t
-            out += t
+        with np.errstate(over="ignore"):  # as in the kernel, a too-large square is inf
+            for column in self._columns:
+                t = column[i] - column[js]
+                t *= t
+                out += t
         np.sqrt(out, out=out)
         keys = np.where(js < i, js * n + i, i * n + js)[js != i]
         self._settle(keys.astype(self._block.dtype, copy=False))

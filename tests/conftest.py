@@ -39,6 +39,19 @@ def random_dataset(seed: int, n=None, dim=None) -> Dataset:
     )
 
 
+def assert_same_result(fast, ref):
+    """Two clustering results agree in every field but the counts and
+    timings, profile arrays bit for bit."""
+    assert fast.centers == ref.centers
+    assert fast.candidate_centers == ref.candidate_centers
+    assert fast.mutation_point == ref.mutation_point
+    assert np.array_equal(fast.labels, ref.labels)
+    assert fast.flags == ref.flags
+    for name in ("density", "density_order", "separation", "nearest_denser", "decision",
+                 "decision_order"):
+        assert getattr(fast.profile, name).tobytes() == getattr(ref.profile, name).tobytes(), name
+
+
 # Coordinates are multiples of 1/16 or of 1/10 in a small range, so squared
 # differences never underflow (the 2^+-600 scales are a separate, open defect).
 _coordinate = st.one_of(

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import adversarial, random_dataset
-from sktdpc import core
+from conftest import adversarial, assert_same_result, random_dataset
+from sktdpc import core, registry
 from sktdpc.baseline import (
     brute_knn_all,
     brute_separation,
@@ -206,7 +206,6 @@ def test_separation_integer_lattice_ties(k):
     assert np.array_equal(separation, ref_sep)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_separation_fallback_point_with_every_denser_point_at_infinity():
     """Squared distances between the two groups overflow to inf; point 5 has
     no denser neighbor, and each denser point is at inf.  It still gets the
@@ -697,13 +696,18 @@ def test_run_sktdpc_equals_reference_where_squares_underflow(dim, scale):
     bound by ``sqrt(diff * diff)``.  Every field but the counts and timings
     equals the full-matrix pipeline's, bits included."""
     d = Dataset(np.random.default_rng(1).random((200, dim)) * scale)
-    fast = core.run_sktdpc(d, 7)
-    ref = sktdpc_reference(d, 7)
-    assert fast.centers == ref.centers
-    assert fast.candidate_centers == ref.candidate_centers
-    assert fast.mutation_point == ref.mutation_point
-    assert np.array_equal(fast.labels, ref.labels)
-    assert fast.flags == ref.flags
-    for name in ("density", "density_order", "separation", "nearest_denser", "decision",
-                 "decision_order"):
-        assert getattr(fast.profile, name).tobytes() == getattr(ref.profile, name).tobytes(), name
+    assert_same_result(core.run_sktdpc(d, 7), sktdpc_reference(d, 7))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 2.0**600], ids=["1e160", "2^600"])
+def test_run_sktdpc_equals_reference_where_squares_overflow(scale):
+    """On flame's first 200 points scaled so far apart that every squared
+    difference overflows, every distance is inf: both pipelines agree field
+    by field without a RuntimeWarning, and both flag the infinite
+    separations by name."""
+    d = Dataset(registry.load_named("flame").points[:200] * scale)
+    fast, ref = core.run_sktdpc(d, 7), sktdpc_reference(d, 7)
+    assert_same_result(fast, ref)
+    assert np.isinf(fast.profile.separation).all()
+    assert "non-finite-separation" in fast.flags
