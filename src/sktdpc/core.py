@@ -69,10 +69,7 @@ class ClusteringResult:
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
     """Indices sorting values descending, equal values by ascending index:
-    :func:`~sktdpc.kdtree.ascending_order` of the negated values, so -0.0
-    and 0.0 tie, as do NaNs, which sort last.  It is the stable sort itself
-    below :data:`~sktdpc.kdtree.STABLE_SORT_BELOW` values, else numpy's
-    quicksort with each tie run put back in index order."""
+    :func:`~sktdpc.kdtree.ascending_order` of the negated values."""
     return ascending_order(-values)
 
 

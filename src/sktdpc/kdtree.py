@@ -5,11 +5,8 @@ point per node, and queries backtrack, pruning by the distance to a
 subtree's cell and to the bounding box of its points; the tree is
 floor(log2 n) + 1 deep on any input, ties included.  It is held as flat
 arrays in preorder.  :func:`ascending_order` sorts the points once per
-dimension into (coordinate, index) order, equal coordinates (-0.0 and 0.0
-among them) by index: numpy's quicksort, each tie run then put back in
-index order by one integer sort, or, for fewer than
-:data:`STABLE_SORT_BELOW` points, numpy's stable sort.  The build
-partitions those orders down the tree one node at a time, so each node's
+dimension into (coordinate, index) order, equal coordinates by index.  The
+build partitions those orders down the tree one node at a time, so each node's
 points are already in order in its split dimension; one pass back up the
 tree then gives each node its subtree's bounding box.  Nothing here
 recurses.
@@ -128,29 +125,18 @@ class KdTree:
         return self.dataset.n.bit_length()
 
 
-STABLE_SORT_BELOW = 1024
-"""Rows shorter than this are sorted by numpy's stable sort itself.  On a
-2-core x86-64 host with AVX-512 (numpy 2.4), the quicksort and its tie pass
-are no faster than the stable sort below about this length on distinct
-values, 20 against 18 µs at 1024; above it they are 3-5 times faster.
-Rows of a few distinct values stay about 20 µs slower up to about 2048."""
-
-
 def ascending_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, axis=-1, kind="stable")``, for a 1-D array or
     each row of a 2-D one: indices in (value, index) order, as int64.
 
-    A row of :data:`STABLE_SORT_BELOW` values or more is sorted by numpy's
-    default quicksort, several times faster than the stable sort on long
-    rows.  Where the sorted row then holds equal neighbours, ``==`` (so
+    Each row is sorted by numpy's default quicksort, 3-5 times faster than
+    the stable sort on rows of thousands of values (numpy 2.4, x86-64 with
+    AVX-512).  Where the sorted row then holds equal neighbours, ``==`` (so
     -0.0 and 0.0 tie) or both NaN (numpy sorts NaN last), the row is sorted
     again as one int64 key per value, its tie run's number times n plus its
-    index, which puts every tie run in index order.  A shorter row takes the
-    stable sort."""
+    index, which puts every tie run in index order."""
     values = np.asarray(values)
     n = values.shape[-1]
-    if n < STABLE_SORT_BELOW:
-        return np.argsort(values, axis=-1, kind="stable")
     order = np.argsort(values, axis=-1)
     for row, v in zip(np.atleast_2d(order), np.atleast_2d(values)):  # row: a view into order
         s = v[row]
@@ -169,10 +155,7 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
     ``lo`` and ``hi`` are the halves of one (2, n, dim) array.
 
     Row d of ``order`` lists the points in (coordinate, index) order of
-    dimension d: equal coordinates, -0.0 and 0.0 included, go by index,
-    whether the row took the stable sort (below
-    :data:`STABLE_SORT_BELOW` points) or the quicksort and its tie pass.
-    The kernel partitions those rows down the tree, so nothing is sorted
+    dimension d, equal coordinates by index.  The kernel partitions those rows down the tree, so nothing is sorted
     after this; its workspace is ``order``, an int64 ``spare`` row and a
     byte a point, (dim + 1) * 8n + n bytes."""
     # C reads each array by its address: every one is bound to a name, so it outlives the call
@@ -190,8 +173,7 @@ def _build(points: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def build(d: Dataset) -> KdTree:
     """Build the spatial index: one :func:`ascending_order` sort per
-    dimension, (coordinate, index) order with equal coordinates by index,
-    then, in C, one node at a time, max-variance split dimension, median
+    dimension, then, in C, one node at a time, max-variance split dimension, median
     split point, and each subtree's bounding box."""
     return KdTree(d)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adversarial, assert_same_result, random_dataset
@@ -1503,32 +1503,27 @@ def test_build_equals_reference_build_on_benchmark_inputs(workload):
 
 
 _SORT_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, -np.nan]
-_LONGEST_ROW = 2048  # at least twice STABLE_SORT_BELOW
 
 
 @st.composite
 def _tied_values(draw):
     """A 1-D or (dim, n) float array drawn from a few values of the pool,
-    so most values tie, signed zeros, infinities and NaNs among them; n
-    lies on both sides of ``STABLE_SORT_BELOW``."""
+    so most values tie, signed zeros, infinities and NaNs among them; n is
+    up to 2048."""
     pool = np.array(draw(st.lists(st.sampled_from(_SORT_POOL), min_size=1, max_size=6)))
-    n = draw(st.one_of(st.integers(0, 3), st.integers(0, _LONGEST_ROW)))
+    n = draw(st.one_of(st.integers(0, 3), st.integers(0, 2048)))
     dim = draw(st.sampled_from([None, 1, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return pool[rng.integers(len(pool), size=(n,) if dim is None else (dim, n))]
 
 
-@pytest.mark.parametrize("below", [kdtree.STABLE_SORT_BELOW, 0], ids=["as-is", "quicksort-always"])
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None)
 @given(_tied_values())
-def test_ascending_order_is_the_stable_argsort(monkeypatch, below, values):
+def test_ascending_order_is_the_stable_argsort(values):
     """``ascending_order`` returns numpy's stable argsort, row by row, as
     int64, on tie-heavy rows with -0.0 and 0.0 (equal) and NaNs of either
-    sign, whether a row takes the stable sort or the quicksort and its tie
-    pass.  The oracle is numpy itself: the reference pipeline sorts with
+    sign.  The oracle is numpy itself: the reference pipeline sorts with
     ``ascending_order`` too, so it cannot judge it."""
-    assert 2 * below <= _LONGEST_ROW
-    monkeypatch.setattr(kdtree, "STABLE_SORT_BELOW", below)
     got = kdtree.ascending_order(values)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.argsort(values, axis=-1, kind="stable"))
@@ -1537,8 +1532,7 @@ def test_ascending_order_is_the_stable_argsort(monkeypatch, below, values):
 def _long_tie_runs():
     """3000x2 integers in [0, 8), a tenth of the zeros negative: 64
     positions, each held by about 47 points, so every row of the build's
-    sort and the density and decision orders are long tie runs above
-    ``STABLE_SORT_BELOW``."""
+    sort and the density and decision orders are long tie runs."""
     rng = np.random.default_rng(90)
     points = rng.integers(0, 8, size=(3000, 2)).astype(float)
     points[(points == 0.0) & (rng.random(points.shape) < 0.1)] = -0.0
@@ -1547,14 +1541,13 @@ def _long_tie_runs():
 
 @pytest.mark.parametrize("k", [7, 60])
 def test_long_tie_runs_build_and_cluster_as_the_references(k):
-    """Above ``STABLE_SORT_BELOW`` the build's orders, and the density and
-    decision orders, come from the quicksort and its tie pass: the tree
-    equals ``reference_build``, and every field of ``run_sktdpc`` but the
-    counts and timings equals ``sktdpc_reference``'s, bits included.  At
+    """Where the build's orders, and the density and decision orders, hold
+    long tie runs, the tree equals ``reference_build``, and every field of
+    ``run_sktdpc`` but the counts and timings equals ``sktdpc_reference``'s,
+    bits included.  At
     k = 7 every density is the infinite sentinel; at k = 60 neighbours
     reach the next position, and the finite densities tie in long runs."""
     points = _long_tie_runs()
-    assert len(points) >= kdtree.STABLE_SORT_BELOW
     assert np.signbit(points[points == 0.0]).any()
     _assert_build_equals_reference(points)
     d = Dataset(points)
